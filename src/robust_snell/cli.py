@@ -34,7 +34,14 @@ from .errors import (
 )
 from .filtration import AdaptedFamily, EventTree, NodeRecord, validate_tree
 from .oracle import crosscheck
-from .pricing import CrrParams, build_crr_barrier_tree, drift_ambiguity_priors, knockin_payoff
+from .pricing import (
+    CrrParams,
+    build_crr_barrier_tree,
+    drift_ambiguity_priors,
+    knockin_payoff,
+    price_from_solution,
+    up_probabilities,
+)
 from .priors import MODE_CLOSURE, MODE_EQUIVALENT, PriorSet
 from .snell import (
     check_optimality_certificate,
@@ -210,6 +217,7 @@ def _parse_priors_block(block: Mapping, tree: EventTree, mode: str) -> PriorSet:
             raise ConfigError("interval_up_probability needs lo and hi") from exc
         if not (0 < lo <= hi < 1):
             raise ConfigError(f"up-probability interval [{lo:g}, {hi:g}] invalid")
+        ps = up_probabilities((lo, hi))
         pts = {}
         for n in tree.decision_nodes(tree.root):
             children = tree.children(n)
@@ -219,7 +227,6 @@ def _parse_priors_block(block: Mapping, tree: EventTree, mode: str) -> PriorSet:
                     f"has {len(children)} children"
                 )
             q1, q2 = tree.q_vector(n)
-            ps = [lo] if lo == hi else [lo, hi]
             pts[n] = [(p / q1, (1.0 - p) / q2) for p in ps]
         return PriorSet(extreme_points=pts, mode=mode)
     raise ConfigError("priors block needs node_extremes or interval_up_probability")
@@ -331,7 +338,8 @@ def cmd_solve(cfg: RunConfig, outdir: Path) -> int:
     rule_star = u_star(solution, cfg.payoff, cfg.v)
     z_star = extract_optimal_prior(solution, cfg.tree, cfg.priors, cfg.v)
     certificate = check_optimality_certificate(
-        cfg.tree, cfg.payoff, cfg.priors, rule_star, z_star, tol=cfg.tolerance
+        cfg.tree, cfg.payoff, cfg.priors, rule_star, z_star, tol=cfg.tolerance,
+        solution=solution,
     )
     alpha_stops = {}
     for a in cfg.alphas:
@@ -413,21 +421,14 @@ def cmd_price(cfg: RunConfig, outdir: Path) -> int:
     solution = solve(cfg.tree, cfg.payoff, cfg.priors, tol=cfg.tolerance)
     rule_star = u_star(solution, cfg.payoff, cfg.v)
     z_star = extract_optimal_prior(solution, cfg.tree, cfg.priors, cfg.v)
-    lo, hi = cfg.crr.ambiguity
-    ps = [lo] if lo == hi else [lo, hi]
-    prior_summary = {
-        n: ps[solution.argmax_extreme[n]]
-        for n in cfg.tree.decision_nodes(cfg.tree.root)
-    }
+    result = price_from_solution(cfg.crr, cfg.tree, cfg.payoff, cfg.priors, solution)
     summary = {
         "command": "price",
         "seed": cfg.seed,
         "mode": cfg.mode,
-        "H_S": solution.R[cfg.tree.root],
-        "exercise_boundary": [
-            n for n in cfg.tree.nodes() if n in solution.stop_region
-        ],
-        "optimal_prior_summary": prior_summary,
+        "H_S": result.hedging_price,
+        "exercise_boundary": result.exercise_boundary,
+        "optimal_prior_summary": result.node_up_probability,
         "attained": solution.attained,
     }
     write_summary(outdir, summary)

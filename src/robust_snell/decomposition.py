@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import NotASupermartingaleError
-from .filtration import AdaptedFamily, EventTree, StoppingRule
+from .filtration import AdaptedFamily, EventTree, StoppingRule, step
 from .priors import DensityProcess, PriorSet
 from .snell import SnellSolution
 
@@ -29,10 +29,6 @@ RANK_TOL = 1e-10
 
 #: tolerance for increasing/flatness checks on C
 FLAT_TOL = 1e-10
-
-
-def _weighted_dot(q: Sequence[float], x: Sequence[float], y: Sequence[float]) -> float:
-    return float(sum(qc * xc * yc for qc, xc, yc in zip(q, x, y)))
 
 
 def node_subspace_basis(
@@ -48,8 +44,8 @@ def node_subspace_basis(
     for d in priors.extremes(node):
         vec = np.asarray(d, dtype=float) - 1.0
         for b in basis:
-            vec = vec - _weighted_dot(q, vec, b) * b
-        norm_sq = _weighted_dot(q, vec, vec)
+            vec = vec - step(q, vec, b) * b
+        norm_sq = step(q, vec, vec)
         if norm_sq > RANK_TOL:
             basis.append(vec / np.sqrt(norm_sq))
     return [tuple(float(x) for x in b) for b in basis]
@@ -67,7 +63,7 @@ def kw_project(
     zero-mean under the reference weights.
     """
     q = tree.q_vector(node)
-    mean = float(sum(qc * xc for qc, xc in zip(q, increment)))
+    mean = step(q, itertools.repeat(1.0), increment)
     if abs(mean) > 1e-9 * max(1.0, max(abs(float(x)) for x in increment) if len(increment) else 1.0):
         raise NotASupermartingaleError(
             f"increment at node {node!r} has nonzero reference mean {mean:g}"
@@ -75,7 +71,7 @@ def kw_project(
     inc = np.asarray(increment, dtype=float)
     k_part = np.zeros_like(inc)
     for b in basis:
-        k_part = k_part + _weighted_dot(q, inc, b) * np.asarray(b, dtype=float)
+        k_part = k_part + step(q, inc, b) * np.asarray(b, dtype=float)
     orth = inc - k_part
     return tuple(float(x) for x in k_part), tuple(float(x) for x in orth)
 
@@ -95,10 +91,7 @@ def doob(
         if tree.is_terminal(n):
             continue
         children = tree.children(n)
-        r = process.ratio_at(n)
-        cond = sum(
-            tree.edge_q(c) * rc * family[c] for c, rc in zip(children, r)
-        )
+        cond = step(tree.q_vector(n), process.ratio_at(n), [family[c] for c in children])
         drift = family[n] - cond
         if drift < -tol * max(1.0, abs(family[n])):
             raise NotASupermartingaleError(
@@ -242,7 +235,7 @@ def universal_decompose(
         any_step = True
         children = tree.children(n)
         q = tree.q_vector(n)
-        cond = sum(qc * R[c] for qc, c in zip(q, children))
+        cond = step(q, itertools.repeat(1.0), [R[c] for c in children])
         drift = R[n] - cond
         increment = [R[c] - cond for c in children]
         basis = node_subspace_basis(tree, priors, n)
@@ -255,11 +248,8 @@ def universal_decompose(
             A[c] = A[n] + drift
             C[c] = C[n] + delta_c
         for d in priors.extremes(n):
-            residual = max(
-                residual,
-                abs(sum(qc * dc * mc for qc, dc, mc in zip(q, d, m_part))),
-            )
-        residual = max(residual, abs(sum(qc * mc for qc, mc in zip(q, m_part))))
+            residual = max(residual, abs(step(q, d, m_part)))
+        residual = max(residual, abs(step(q, itertools.repeat(1.0), m_part)))
     if not any_step:
         min_delta_C = 0.0
     diag = DecompositionDiagnostics(

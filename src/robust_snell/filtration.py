@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     FloorMismatchError,
@@ -294,21 +294,34 @@ class StoppingRule:
     def stop_time(self, tree: EventTree, leaf: str) -> int:
         return tree.time(self.stop_node(tree, leaf))
 
-    def cut(self, tree: EventTree) -> frozenset[str]:
-        """The set of nodes at which the rule actually stops."""
-        return frozenset(self.stop_node(tree, leaf) for leaf in tree.leaves_below(self.floor))
+    def walk(self, tree: EventTree) -> RuleWalk:
+        """Traverse the rule once from its floor, without recursion.
 
-    def continuation_region(self, tree: EventTree) -> frozenset[str]:
-        """Nodes the rule passes through without stopping."""
-        out = set()
+        Raises InvalidRuleError when some path below the floor never stops.
+        """
+        continuation: list[tuple[str, tuple[str, ...]]] = []
+        cut: list[str] = []
         stack = [self.floor]
         while stack:
             n = stack.pop()
             if self.stops_at(n):
+                cut.append(n)
                 continue
-            out.add(n)
-            stack.extend(tree.children(n))
-        return frozenset(out)
+            children = tree.children(n)
+            if not children:
+                raise InvalidRuleError(f"rule never stops on the path to {n!r}")
+            continuation.append((n, children))
+            stack.extend(children)
+        # reversed preorder lists every node after all of its descendants
+        return RuleWalk(self.floor, tuple(reversed(continuation)), tuple(cut))
+
+    def cut(self, tree: EventTree) -> frozenset[str]:
+        """The set of nodes at which the rule actually stops."""
+        return frozenset(self.walk(tree).cut)
+
+    def continuation_region(self, tree: EventTree) -> frozenset[str]:
+        """Nodes the rule passes through without stopping."""
+        return frozenset(n for n, _ in self.walk(tree).continuation)
 
     def validate(self, tree: EventTree) -> list[str]:
         report = []
@@ -320,6 +333,49 @@ class StoppingRule:
             if not any(self.stops_at(n) for n in tree.path(self.floor, leaf)):
                 report.append(f"path to {leaf} never stops")
         return report
+
+
+class RuleWalk(NamedTuple):
+    """A stopping rule traversed from its floor.
+
+    ``continuation`` pairs each node the rule passes through with its
+    children, children first; ``cut`` lists the nodes where it stops.
+    """
+
+    floor: str
+    continuation: tuple[tuple[str, tuple[str, ...]], ...]
+    cut: tuple[str, ...]
+
+
+def step(q: Sequence[float], d: Iterable[float], values: Iterable[float]) -> float:
+    """The one-step continuation sum_c q_c d_c v_c.
+
+    Every one-step expectation of the engine goes through here, so all of
+    them share one arithmetic order: (q_c * d_c) * v_c added left to right
+    from 0.  Unit ratios or values are passed as ``itertools.repeat(1.0)``;
+    multiplying by 1.0 is exact.
+    """
+    total = 0.0
+    for qc, dc, vc in zip(q, d, values):
+        total += qc * dc * vc
+    return total
+
+
+def fold(
+    walk: RuleWalk,
+    q: Callable[[str], Sequence[float]],
+    ratio: Callable[[str], Sequence[float]],
+    stopped: Mapping[str, float],
+) -> float:
+    """Value at the walk's floor of a family stopped at the walk's cut.
+
+    ``stopped`` gives the family on the cut; every continuation node, children
+    first, takes ``step(q(n), ratio(n), child values)``.
+    """
+    values = dict(stopped)
+    for n, children in walk.continuation:
+        values[n] = step(q(n), ratio(n), map(values.__getitem__, children))
+    return values[walk.floor]
 
 
 def first_entry_rule(
@@ -366,38 +422,28 @@ def max_rule(tree: EventTree, r1: StoppingRule, r2: StoppingRule) -> StoppingRul
     """Pathwise maximum of two stopping times with a common floor."""
     _check_compatible(r1, r2)
     labels: dict[str, bool] = {}
-
-    def walk(n: str, done1: bool, done2: bool) -> None:
+    stack = [(r1.floor, False, False)]
+    while stack:
+        n, done1, done2 = stack.pop()
         d1 = done1 or r1.stops_at(n)
         d2 = done2 or r2.stops_at(n)
-        if d1 and d2:
-            labels[n] = True
-            return
-        labels[n] = False
-        for c in tree.children(n):
-            walk(c, d1, d2)
-
-    walk(r1.floor, False, False)
+        labels[n] = d1 and d2
+        if not labels[n]:
+            stack.extend((c, d1, d2) for c in reversed(tree.children(n)))
     return StoppingRule(labels=labels, floor=r1.floor, strict=r1.strict or r2.strict)
 
 
 def count_rules(tree: EventTree, v: str, strict: bool = False) -> int:
     """Closed-form count of stopping rules on the subtree at ``v``."""
-
-    def free(n: str) -> int:
-        if tree.is_terminal(n):
-            return 1
+    free: dict[str, int] = {}
+    for n in reversed(tree.subtree(v)):
         prod = 1
         for c in tree.children(n):
-            prod *= free(c)
-        return 1 + prod
-
+            prod *= free[c]
+        free[n] = 1 if tree.is_terminal(n) else 1 + prod
     if strict and not tree.is_terminal(v):
-        prod = 1
-        for c in tree.children(v):
-            prod *= free(c)
-        return prod
-    return free(v)
+        return free[v] - 1
+    return free[v]
 
 
 def enumerate_rules(tree: EventTree, v: str, strict: bool = False) -> list[StoppingRule]:
@@ -448,12 +494,12 @@ def step_expectation_q(
     children = tree.children(node)
     if not children:
         raise InvalidTreeError(f"node {node!r} is terminal")
-    total = 0.0
     for c in children:
         if c not in child_values:
             raise InvalidFamilyError(f"missing value for child {c!r}")
-        total += tree.edge_q(c) * child_values[c]
-    return total
+    return step(
+        tree.q_vector(node), itertools.repeat(1.0), [child_values[c] for c in children]
+    )
 
 
 def expected_value_q(
@@ -465,13 +511,6 @@ def expected_value_q(
     """
     if rule.floor != v:
         raise FloorMismatchError(f"rule floor {rule.floor!r} != evaluation node {v!r}")
-
-    def val(n: str) -> float:
-        if rule.stops_at(n):
-            return family[n]
-        children = tree.children(n)
-        if not children:
-            raise InvalidRuleError(f"rule never stops on the path through {n!r}")
-        return sum(tree.edge_q(c) * val(c) for c in children)
-
-    return val(v)
+    walk = rule.walk(tree)
+    stopped = {s: family[s] for s in walk.cut}
+    return fold(walk, tree.q_vector, lambda n: itertools.repeat(1.0), stopped)

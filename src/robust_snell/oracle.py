@@ -8,8 +8,6 @@ backward-induction recursion they are used to check.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import SizeGuardError
@@ -18,20 +16,10 @@ from .filtration import (
     EventTree,
     StoppingRule,
     enumerate_rules,
+    fold,
 )
 from .priors import MAX_SELECTIONS, PriorSet
 from .snell import solve
-
-#: environment variable capping the worker count of parallel sections
-THREADS_ENV = "ROBUST_SNELL_THREADS"
-
-
-def worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _subtree_selections(
@@ -52,28 +40,6 @@ def _subtree_selections(
             )
     ranges = [range(len(priors.extremes(n))) for n in nodes]
     return [dict(zip(nodes, combo)) for combo in itertools.product(*ranges)]
-
-
-def _gamma_under_selection(
-    tree: EventTree,
-    payoff: AdaptedFamily,
-    priors: PriorSet,
-    rule: StoppingRule,
-    selection: dict[str, int],
-    v: str,
-) -> float:
-    """Conditional expected stopped reward at ``v`` for one (rule, selection)."""
-
-    def val(n: str) -> float:
-        if rule.stops_at(n):
-            return payoff[n]
-        d = priors.extremes(n)[selection[n]]
-        return sum(
-            tree.edge_q(c) * dc * val(c)
-            for c, dc in zip(tree.children(n), d)
-        )
-
-    return val(v)
 
 
 @dataclass(frozen=True)
@@ -109,12 +75,18 @@ def _brute_force(
 ) -> BruteForceResult:
     rules = enumerate_rules(tree, v, strict=strict)
     selections = _subtree_selections(tree, priors, v)
+    # walk each rule and look up q and extremes once, outside the selection
+    # loop that dominates the cost
+    q = {n: tree.q_vector(n) for n in tree.decision_nodes(v)}
+    extremes = {n: priors.extremes(n) for n in q}
     best_value = float("-inf")
     best_rule = rules[0]
     best_sel = selections[0]
     for rule in rules:
+        walk = rule.walk(tree)
+        stopped = {s: payoff[s] for s in walk.cut}
         for sel in selections:
-            value = _gamma_under_selection(tree, payoff, priors, rule, sel, v)
+            value = fold(walk, q.__getitem__, lambda n: extremes[n][sel[n]], stopped)
             if value > best_value:
                 best_value = value
                 best_rule = rule
@@ -143,26 +115,15 @@ def crosscheck(
     """Compare backward-induction values against brute force at every node."""
     if solution is None:
         solution = solve(tree, payoff, priors)
-
-    def deviations(n: str) -> tuple[float, float]:
+    nodes = tree.nodes()
+    max_r = 0.0
+    max_rp = 0.0
+    worst = nodes[0]
+    for n in nodes:
         dev_r = abs(solution.R[n] - brute_force_value(tree, payoff, priors, n).value)
         dev_rp = abs(
             solution.R_plus[n] - brute_force_strict_value(tree, payoff, priors, n)
         )
-        return dev_r, dev_rp
-
-    nodes = tree.nodes()
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(deviations, nodes))
-    else:
-        results = [deviations(n) for n in nodes]
-
-    max_r = 0.0
-    max_rp = 0.0
-    worst = nodes[0]
-    for n, (dev_r, dev_rp) in zip(nodes, results):
         if max(dev_r, dev_rp) > max(max_r, max_rp):
             worst = n
         max_r = max(max_r, dev_r)

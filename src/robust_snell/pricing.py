@@ -149,6 +149,12 @@ def vanilla_put_payoff(tree: EventTree, params: CrrParams) -> AdaptedFamily:
     return AdaptedFamily(values)
 
 
+def up_probabilities(ambiguity: tuple[float, float]) -> list[float]:
+    """The extreme up-probabilities of an interval, one when it is a point."""
+    lo, hi = ambiguity
+    return [lo] if lo == hi else [lo, hi]
+
+
 def drift_ambiguity_priors(
     tree: EventTree, params: CrrParams, mode: str = MODE_CLOSURE
 ) -> PriorSet:
@@ -160,10 +166,9 @@ def drift_ambiguity_priors(
     point at q_up.
     """
     _require_valid(params)
-    lo, hi = params.ambiguity
-    ps = [lo] if lo == hi else [lo, hi]
     extremes = [
-        (p / params.q_up, (1.0 - p) / (1.0 - params.q_up)) for p in ps
+        (p / params.q_up, (1.0 - p) / (1.0 - params.q_up))
+        for p in up_probabilities(params.ambiguity)
     ]
     return PriorSet.constant(tree, extremes, mode=mode)
 
@@ -191,8 +196,18 @@ def price(params: CrrParams, mode: str = MODE_CLOSURE, tol: float = 1e-9) -> Pri
     payoff = knockin_payoff(tree, params)
     priors = drift_ambiguity_priors(tree, params, mode=mode)
     solution = solve(tree, payoff, priors, tol=tol)
-    lo, hi = params.ambiguity
-    ps = [lo] if lo == hi else [lo, hi]
+    return price_from_solution(params, tree, payoff, priors, solution)
+
+
+def price_from_solution(
+    params: CrrParams,
+    tree: EventTree,
+    payoff: AdaptedFamily,
+    priors: PriorSet,
+    solution: SnellSolution,
+) -> PriceResult:
+    """Price, exercise boundary and maximizing up-probabilities of a solved tree."""
+    ps = up_probabilities(params.ambiguity)
     node_p = {
         n: ps[solution.argmax_extreme[n]] for n in tree.decision_nodes(tree.root)
     }

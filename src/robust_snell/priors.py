@@ -22,7 +22,7 @@ from .errors import (
     SizeGuardError,
     UndefinedConditionalError,
 )
-from .filtration import AdaptedFamily, EventTree, StoppingRule
+from .filtration import AdaptedFamily, EventTree, StoppingRule, fold, step
 
 #: absolute tolerance on one-step martingale sums
 MARTINGALE_TOL = 1e-12
@@ -90,38 +90,50 @@ class PriorSet:
         return cls(extreme_points=pts, mode=mode)
 
 
-def validate_prior_set(tree: EventTree, priors: PriorSet) -> list[str]:
-    """Diagnose invariant violations of a prior set; empty list means valid."""
-    report: list[str] = []
+#: violation kinds: unusable in any mode, or a boundary point of the open set
+STRUCTURAL = "structural"
+BOUNDARY = "boundary"
+
+
+def _violations(tree: EventTree, priors: PriorSet) -> list[tuple[str, str]]:
+    """Invariant violations of a prior set as (kind, message) pairs."""
+    report: list[tuple[str, str]] = []
+
+    def bad(message: str, kind: str = STRUCTURAL) -> None:
+        report.append((kind, message))
+
     if priors.mode not in (MODE_CLOSURE, MODE_EQUIVALENT):
-        report.append(f"unknown mode {priors.mode!r}")
+        bad(f"unknown mode {priors.mode!r}")
     decision = set(tree.decision_nodes(tree.root))
     for n in priors.extreme_points:
         if n not in decision:
-            report.append(f"extreme points given for non-decision node {n}")
+            bad(f"extreme points given for non-decision node {n}")
     for n in tree.decision_nodes(tree.root):
         if n not in priors.extreme_points or not priors.extreme_points[n]:
-            report.append(f"node {n}: no extreme points")
+            bad(f"node {n}: no extreme points")
             continue
         k = len(tree.children(n))
         q = tree.q_vector(n)
         for i, d in enumerate(priors.extreme_points[n]):
             if len(d) != k:
-                report.append(
-                    f"node {n}: extreme {i} has {len(d)} components, expected {k}"
-                )
+                bad(f"node {n}: extreme {i} has {len(d)} components, expected {k}")
                 continue
-            total = sum(qc * dc for qc, dc in zip(q, d))
+            total = step(q, d, itertools.repeat(1.0))
             if abs(total - 1.0) > MARTINGALE_TOL:
-                report.append(f"node {n}: martingale sum {total:g} ≠ 1")
+                bad(f"node {n}: martingale sum {total:g} ≠ 1")
             for dc in d:
                 if dc < 0:
-                    report.append(f"node {n}: negative density component {dc:g}")
+                    bad(f"node {n}: negative density component {dc:g}")
                     break
                 if dc == 0 and priors.mode == MODE_EQUIVALENT:
-                    report.append(f"node {n}: nonpositive density component")
+                    bad(f"node {n}: nonpositive density component", BOUNDARY)
                     break
     return report
+
+
+def validate_prior_set(tree: EventTree, priors: PriorSet) -> list[str]:
+    """Diagnose invariant violations of a prior set; empty list means valid."""
+    return [msg for _, msg in _violations(tree, priors)]
 
 
 def structural_violations(tree: EventTree, priors: PriorSet) -> list[str]:
@@ -131,11 +143,7 @@ def structural_violations(tree: EventTree, priors: PriorSet) -> list[str]:
     boundary points of the open set and are handled through attainment
     reporting rather than rejection.
     """
-    return [
-        msg
-        for msg in validate_prior_set(tree, priors)
-        if "nonpositive density component" not in msg
-    ]
+    return [msg for kind, msg in _violations(tree, priors) if kind == STRUCTURAL]
 
 
 @dataclass(frozen=True)
@@ -198,7 +206,7 @@ def validate_density_process(
     for n in tree.decision_nodes(tree.root):
         q = tree.q_vector(n)
         r = process.ratio_at(n)
-        total = sum(qc * rc for qc, rc in zip(q, r))
+        total = step(q, r, itertools.repeat(1.0))
         if abs(total - 1.0) > MARTINGALE_TOL:
             report.append(f"node {n}: martingale sum {total:g} ≠ 1")
         for c, rc in zip(tree.children(n), r):
@@ -334,17 +342,9 @@ def bayes_conditional(
         raise UndefinedConditionalError(
             f"conditioning on node {v!r} which carries zero density mass"
         )
-
-    def val(n: str) -> float:
-        if rule.stops_at(n):
-            return family[n]
-        children = tree.children(n)
-        r = process.ratio_at(n)
-        return sum(
-            tree.edge_q(c) * rc * val(c) for c, rc in zip(children, r)
-        )
-
-    return val(v)
+    walk = rule.walk(tree)
+    stopped = {s: family[s] for s in walk.cut}
+    return fold(walk, tree.q_vector, process.ratio_at, stopped)
 
 
 def selection_count(tree: EventTree, priors: PriorSet, v: str | None = None) -> int:

@@ -7,9 +7,10 @@ the brute-force oracle by construction.
 
 from __future__ import annotations
 
+import itertools
 import random
 
-from .filtration import AdaptedFamily, EventTree, NodeRecord
+from .filtration import AdaptedFamily, EventTree, NodeRecord, step
 from .pricing import CROSSED_ABOVE, CROSSED_BELOW, CrrParams
 from .priors import PriorSet
 
@@ -66,7 +67,7 @@ def random_instance(
         extremes = []
         for _ in range(n_ext):
             raw = [rng.uniform(0.05, 1.0) for _ in range(k)]
-            norm = sum(qc * rc for qc, rc in zip(q, raw))
+            norm = step(q, raw, itertools.repeat(1.0))
             extremes.append(tuple(rc / norm for rc in raw))
         extreme_points[n] = extremes
     priors = PriorSet(extreme_points=extreme_points)

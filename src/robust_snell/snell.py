@@ -30,6 +30,8 @@ from .filtration import (
     StoppingRule,
     enumerate_rules,
     first_entry_rule,
+    fold,
+    step,
     stop_at_time_rule,
     validate_family,
     validate_tree,
@@ -104,10 +106,7 @@ def solve(
         q = tree.q_vector(n)
         child_values = [R[c] for c in children]
         extremes = priors.extremes(n)
-        values = [
-            sum(qc * dc * rc for qc, dc, rc in zip(q, d, child_values))
-            for d in extremes
-        ]
+        values = [step(q, d, child_values) for d in extremes]
         best = max(values)
         best_idx = values.index(best)
         R_plus[n] = best
@@ -206,11 +205,8 @@ def extract_optimal_prior(
         else:
             extremes = priors.extremes(n)
             q = tree.q_vector(n)
-            children = tree.children(n)
-            values = [
-                sum(qc * dc * solution.R[c] for qc, dc, c in zip(q, d, children))
-                for d in extremes
-            ]
+            child_values = [solution.R[c] for c in tree.children(n)]
+            values = [step(q, d, child_values) for d in extremes]
             best = max(values)
             tie_tol = 1e-12 * max(1.0, abs(best))
             winners = [i for i, val in enumerate(values) if val >= best - tie_tol]
@@ -245,11 +241,8 @@ def check_supermartingale_family(
     worst_node = None
     for n in tree.decision_nodes(tree.root):
         q = tree.q_vector(n)
-        children = tree.children(n)
-        best = max(
-            sum(qc * dc * family[c] for qc, dc, c in zip(q, d, children))
-            for d in priors.extremes(n)
-        )
+        child_values = [family[c] for c in tree.children(n)]
+        best = max(step(q, d, child_values) for d in priors.extremes(n))
         excess = best - family[n]
         node_ok[n] = excess <= tol * max(1.0, abs(family[n]))
         if excess > worst_excess:
@@ -288,34 +281,34 @@ def check_optimality_certificate(
     rule: StoppingRule,
     process: DensityProcess,
     tol: float = DEFAULT_TOL,
+    solution: SnellSolution | None = None,
 ) -> CertificateReport:
+    """Test a (rule, prior) pair; ``solution`` reuses a backward induction
+    already run on the same inputs instead of solving again."""
     v = rule.floor
-    solution = solve(tree, payoff, priors, tol=tol)
-    cond1 = True
-    for s in rule.cut(tree):
-        if process.z.get(s, 0.0) <= 0:
-            continue
-        if not _close(solution.R[s], payoff[s], tol):
-            cond1 = False
-            break
-    cond2 = True
-    for n in rule.continuation_region(tree):
-        if process.z.get(n, 0.0) <= 0:
-            continue
-        step = sum(
-            tree.edge_q(c) * rc * solution.R[c]
-            for c, rc in zip(tree.children(n), process.ratio_at(n))
+    if solution is None:
+        solution = solve(tree, payoff, priors, tol=tol)
+    R = solution.R
+    walk = rule.walk(tree)
+    cond1 = all(
+        process.z.get(s, 0.0) <= 0 or _close(R[s], payoff[s], tol) for s in walk.cut
+    )
+    cond2 = all(
+        process.z.get(n, 0.0) <= 0
+        or _close(
+            step(tree.q_vector(n), process.ratio_at(n), [R[c] for c in children]),
+            R[n],
+            tol,
         )
-        if not _close(step, solution.R[n], tol):
-            cond2 = False
-            break
+        for n, children in walk.continuation
+    )
     value = gamma(tree, payoff, process, rule, v)
     return CertificateReport(
         optimal=cond1 and cond2,
         cond1=cond1,
         cond2=cond2,
         value=value,
-        value_target=solution.R[v],
+        value_target=R[v],
     )
 
 
@@ -392,24 +385,20 @@ def _repasted_supremum(
     forced = tau.continuation_region(tree)
     free_nodes = [n for n in tree.decision_nodes(v) if n not in forced]
     ranges = [range(len(priors.extremes(n))) for n in free_nodes]
+    q = {n: tree.q_vector(n) for n in tree.decision_nodes(v)}
     best = float("-inf")
     for sigma in _strict_rules_after(tree, tau, v):
+        walk = sigma.walk(tree)
+        stopped = {s: payoff[s] for s in walk.cut}
         for combo in itertools.product(*ranges):
             choice = dict(zip(free_nodes, combo))
 
-            def val(n: str) -> float:
-                if sigma.stops_at(n):
-                    return payoff[n]
+            def ratio(n: str) -> tuple[float, ...]:
                 if n in forced:
-                    r = base.ratio_at(n)
-                else:
-                    r = priors.extremes(n)[choice[n]]
-                return sum(
-                    tree.edge_q(c) * rc * val(c)
-                    for c, rc in zip(tree.children(n), r)
-                )
+                    return base.ratio_at(n)
+                return priors.extremes(n)[choice[n]]
 
-            best = max(best, val(v))
+            best = max(best, fold(walk, q.__getitem__, ratio, stopped))
     return best
 
 

@@ -81,9 +81,3 @@ class TestCrosscheck:
             tree, payoff, priors = random_instance(seed)
             report = crosscheck(tree, payoff, priors)
             assert report.max_deviation < 1e-9, f"seed {seed}: {report}"
-
-    def test_thread_pool_gives_identical_report(self, tt4, monkeypatch):
-        base = crosscheck(tt4.tree, tt4.payoff, tt4.priors)
-        monkeypatch.setenv("ROBUST_SNELL_THREADS", "4")
-        pooled = crosscheck(tt4.tree, tt4.payoff, tt4.priors)
-        assert pooled == base
