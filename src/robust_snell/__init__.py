@@ -22,6 +22,7 @@ from .errors import (
     InvalidSelectionError,
     InvalidTreeError,
     MissingStateError,
+    NonFiniteValueError,
     NotASupermartingaleError,
     NotMeasurableError,
     RobustSnellError,

@@ -5,8 +5,9 @@ writes ``<out>/summary.json`` and ``<out>/nodes.csv``.  All numeric output is
 printed with 17 significant digits so results round-trip exactly; identical
 configs produce byte-identical outputs.
 
-Exit codes: 0 success, 2 invalid configuration, 3 enumeration size guard
-exceeded, 4 unattained supremum in equivalent mode.
+Exit codes: 0 success, 2 invalid configuration (a value that is missing,
+of the wrong type or not finite, or a result too large to be finite),
+3 enumeration size guard exceeded, 4 unattained supremum in equivalent mode.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +29,7 @@ from .errors import (
     InvalidPriorSetError,
     InvalidRuleError,
     InvalidTreeError,
+    NonFiniteValueError,
     NotMeasurableError,
     RobustSnellError,
     SizeGuardError,
@@ -91,13 +94,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_value(value, indent: int) -> str:
+def _json_value(value, indent: int, key: str = "") -> str:
     pad = " " * indent
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NonFiniteValueError(f"summary field {key!r} is {value!r}")
         return _fmt(value)
     if isinstance(value, str):
         return json.dumps(value)
@@ -107,21 +112,23 @@ def _json_value(value, indent: int) -> str:
         if not value:
             return "{}"
         parts = [
-            f'{pad}  {json.dumps(str(k))}: {_json_value(v, indent + 2)}'
+            f'{pad}  {json.dumps(str(k))}: {_json_value(v, indent + 2, str(k))}'
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        parts = [f"{pad}  {_json_value(v, indent + 2)}" for v in value]
+        parts = [f"{pad}  {_json_value(v, indent + 2, key)}" for v in value]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def write_summary(outdir: Path, summary: Mapping[str, object]) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Write ``summary.json``; raises NonFiniteValueError, writing nothing,
+    if any float in ``summary`` is NaN or infinite (strict JSON has neither)."""
     text = _json_value(summary, 0) + "\n"
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "summary.json").write_text(text, encoding="utf-8")
 
 
@@ -163,11 +170,34 @@ def write_nodes_csv(
 # -- config parsing -----------------------------------------------------
 
 
+def _number(value: object, what: str) -> float:
+    """``float(value)`` if that is finite, else a ConfigError naming ``what``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {value!r} is not a number") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{what}: {value!r} is not finite")
+    return x
+
+
+def _object(value: object, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    return value
+
+
+def _list(value: object, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _parse_tree_block(block: Mapping) -> tuple[EventTree, AdaptedFamily]:
     try:
         horizon = int(block["horizon"])
-        node_dicts = block["nodes"]
-    except (KeyError, TypeError, ValueError) as exc:
+        node_dicts = _list(block["nodes"], "tree nodes")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"tree block missing horizon or nodes: {exc}") from exc
     records = []
     payoff = {}
@@ -175,20 +205,25 @@ def _parse_tree_block(block: Mapping) -> tuple[EventTree, AdaptedFamily]:
         try:
             node_id = str(nd["id"])
             time = int(nd["time"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"node entry missing id or time: {nd!r}") from exc
         if "Y" not in nd:
             raise ConfigError(f"node {node_id!r} has no payoff value Y")
+        where = f"node {node_id!r}"
+        parent = nd.get("parent")
+        if parent is not None and not isinstance(parent, str):
+            raise ConfigError(f"{where} parent must be a node id, got {parent!r}")
+        states = _object(nd.get("states", {}), f"{where} states")
         records.append(
             NodeRecord(
                 id=node_id,
                 time=time,
-                parent=nd.get("parent"),
-                q=float(nd["q"]) if "q" in nd else None,
-                states={k: float(v) for k, v in nd.get("states", {}).items()},
+                parent=parent,
+                q=_number(nd["q"], f"{where} q") if "q" in nd else None,
+                states={k: _number(v, f"{where} state {k!r}") for k, v in states.items()},
             )
         )
-        payoff[node_id] = float(nd["Y"])
+        payoff[node_id] = _number(nd["Y"], f"{where} Y")
     try:
         tree = EventTree(horizon=horizon, records=records)
     except InvalidTreeError as exc:
@@ -201,19 +236,23 @@ def _parse_tree_block(block: Mapping) -> tuple[EventTree, AdaptedFamily]:
 
 def _parse_priors_block(block: Mapping, tree: EventTree, mode: str) -> PriorSet:
     if "node_extremes" in block:
-        mapping = block["node_extremes"]
+        mapping = _object(block["node_extremes"], "node_extremes")
         pts = {}
         for node_id, extremes in mapping.items():
             if node_id not in tree:
                 raise ConfigError(f"priors reference unknown node {node_id!r}")
-            pts[node_id] = [tuple(float(x) for x in d) for d in extremes]
+            where = f"priors at node {node_id!r}"
+            pts[node_id] = [
+                tuple(_number(x, f"{where} ratio") for x in _list(d, f"{where} extreme"))
+                for d in _list(extremes, where)
+            ]
         return PriorSet(extreme_points=pts, mode=mode)
     if "interval_up_probability" in block:
         interval = block["interval_up_probability"]
         try:
-            lo = float(interval["lo"])
-            hi = float(interval["hi"])
-        except (KeyError, TypeError, ValueError) as exc:
+            lo = _number(interval["lo"], "interval_up_probability lo")
+            hi = _number(interval["hi"], "interval_up_probability hi")
+        except (KeyError, TypeError) as exc:
             raise ConfigError("interval_up_probability needs lo and hi") from exc
         if not (0 < lo <= hi < 1):
             raise ConfigError(f"up-probability interval [{lo:g}, {hi:g}] invalid")
@@ -250,34 +289,40 @@ def parse_config(path: str | Path) -> RunConfig:
     mode = raw.get("mode", MODE_CLOSURE)
     if mode not in (MODE_CLOSURE, MODE_EQUIVALENT):
         raise ConfigError(f"unknown mode {mode!r}")
-    alphas = tuple(float(a) for a in raw.get("alphas", []))
+    alphas = tuple(_number(a, "alpha") for a in _list(raw.get("alphas", []), "alphas"))
     for a in alphas:
         if not 0 < a <= 1:
             raise ConfigError(f"alpha {a:g} outside (0, 1]")
-    tolerance = float(raw.get("tolerance", 1e-9))
+    tolerance = _number(raw.get("tolerance", 1e-9), "tolerance")
     if tolerance <= 0:
         raise ConfigError(f"tolerance {tolerance:g} must be positive")
-    seed = int(raw.get("seed", 0))
+    try:
+        seed = int(raw.get("seed", 0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"seed: {exc}") from exc
 
     crr_params = None
     if has_crr:
         if "priors" in raw:
             raise ConfigError("priors block is not allowed with a crr block")
-        block = raw["crr"]
+        block = _object(raw["crr"], "crr block")
+        ambiguity = _list(block.get("ambiguity", [0.5, 0.5]), "crr ambiguity")
+        if len(ambiguity) != 2:
+            raise ConfigError(f"crr ambiguity needs [lo, hi], got {ambiguity!r}")
         try:
             crr_params = CrrParams(
-                S0=float(block["S0"]),
-                up=float(block["up"]),
-                down=float(block["down"]),
+                S0=_number(block["S0"], "crr S0"),
+                up=_number(block["up"], "crr up"),
+                down=_number(block["down"], "crr down"),
                 steps=int(block["steps"]),
-                rate=float(block.get("rate", 0.0)),
-                K=float(block["K"]),
-                H=float(block["H"]),
+                rate=_number(block.get("rate", 0.0), "crr rate"),
+                K=_number(block["K"], "crr K"),
+                H=_number(block["H"], "crr H"),
                 direction=block.get("direction", "crossed_below"),
-                q_up=float(block.get("q_up", 0.5)),
-                ambiguity=tuple(float(x) for x in block.get("ambiguity", [0.5, 0.5])),
+                q_up=_number(block.get("q_up", 0.5), "crr q_up"),
+                ambiguity=tuple(_number(x, "crr ambiguity") for x in ambiguity),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad crr block: {exc}") from exc
         report = crr_params.validate()
         if report:
@@ -286,10 +331,10 @@ def parse_config(path: str | Path) -> RunConfig:
         payoff = knockin_payoff(tree, crr_params)
         priors = drift_ambiguity_priors(tree, crr_params, mode=mode)
     else:
-        tree, payoff = _parse_tree_block(raw["tree"])
+        tree, payoff = _parse_tree_block(_object(raw["tree"], "tree block"))
         if "priors" not in raw:
             raise ConfigError("config with an explicit tree needs a priors block")
-        priors = _parse_priors_block(raw["priors"], tree, mode)
+        priors = _parse_priors_block(_object(raw["priors"], "priors block"), tree, mode)
 
     v = str(raw.get("v", tree.root))
     if v not in tree:
@@ -475,6 +520,9 @@ def run(argv: Sequence[str]) -> int:
         return _COMMANDS[args.command](cfg, Path(args.out))
     except _CONFIG_ERRORS as exc:
         print(f"robust-snell: invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    except NonFiniteValueError as exc:
+        print(f"robust-snell: non-finite result: {exc}", file=sys.stderr)
         return 2
     except SizeGuardError as exc:
         print(f"robust-snell: size guard exceeded: {exc}", file=sys.stderr)

@@ -8,6 +8,10 @@ weighted inner product) onto the span of the one-step density increments
 C is increasing exactly when the class is rich enough for the projection to
 stay below the predictable drift; otherwise the failure is reported in the
 diagnostics rather than raised.
+
+``scipy.optimize`` is imported only when a node with three or more children
+needs the hull LP of the premise check: ``linprog`` is a module attribute
+that resolves on first access.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import NotASupermartingaleError
 from .filtration import AdaptedFamily, EventTree, StoppingRule, step
@@ -29,6 +32,19 @@ RANK_TOL = 1e-10
 
 #: tolerance for increasing/flatness checks on C
 FLAT_TOL = 1e-10
+
+#: absolute tolerance on slice vertices: their sign, and telling two apart
+VERTEX_TOL = 1e-9
+
+
+def __getattr__(name: str):
+    """Import scipy's ``linprog`` on first access and bind it in this module."""
+    if name != "linprog":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import linprog
+
+    globals()["linprog"] = linprog
+    return linprog
 
 
 def node_subspace_basis(
@@ -143,10 +159,15 @@ def _slice_vertices(q: Sequence[float], basis: Sequence[Sequence[float]]) -> lis
             continue
         lam = np.linalg.solve(sub, -np.ones(m))
         point = 1.0 + B @ lam
-        if np.all(point >= -1e-9):
-            if not any(np.allclose(point, v, atol=1e-9) for v in vertices):
+        if np.all(point >= -VERTEX_TOL):
+            if not any(_same_point(point, v) for v in vertices):
                 vertices.append(point)
     return vertices
+
+
+def _same_point(a: Sequence[float], b: Sequence[float]) -> bool:
+    """``numpy.allclose(a, b, atol=VERTEX_TOL)`` without its per-call overhead."""
+    return all(abs(x - y) <= VERTEX_TOL + 1e-5 * abs(y) for x, y in zip(a, b))
 
 
 def _in_hull(point: np.ndarray, extremes: Sequence[Sequence[float]]) -> bool:
@@ -155,7 +176,9 @@ def _in_hull(point: np.ndarray, extremes: Sequence[Sequence[float]]) -> bool:
     n_ext = E.shape[1]
     A_eq = np.vstack([E, np.ones((1, n_ext))])
     b_eq = np.concatenate([point, [1.0]])
-    res = linprog(
+    # through the module global, so that a replaced ``linprog`` sees every LP
+    lp = globals().get("linprog") or __getattr__("linprog")
+    res = lp(
         c=np.zeros(n_ext),
         A_eq=A_eq,
         b_eq=b_eq,
@@ -165,26 +188,41 @@ def _in_hull(point: np.ndarray, extremes: Sequence[Sequence[float]]) -> bool:
     return bool(res.status == 0)
 
 
-def premise_check(tree: EventTree, priors: PriorSet) -> PremiseReport:
+def _full_slice(
+    q: Sequence[float],
+    basis: Sequence[Sequence[float]],
+    extremes: Sequence[Sequence[float]],
+) -> bool:
+    """Whether the hull of ``extremes`` is the node's whole slice."""
+    if not basis:
+        return all(max(abs(dc - 1.0) for dc in d) <= VERTEX_TOL for d in extremes)
+    if len(q) == 2:
+        # the slice is the segment from (1/q1, 0) to (0, 1/q2); the hull of
+        # the extremes covers it exactly when both ends are extremes
+        ends = ((1.0 / q[0], 0.0), (0.0, 1.0 / q[1]))
+        return all(any(_same_point(end, d) for d in extremes) for end in ends)
+    return all(_in_hull(v, extremes) for v in _slice_vertices(q, basis))
+
+
+def premise_check(
+    tree: EventTree,
+    priors: PriorSet,
+    *,
+    bases: Mapping[str, Sequence[Sequence[float]]] | None = None,
+) -> PremiseReport:
     """Check, node by node, whether the class meets the subspace premises.
 
     The global flag (all nodes scaling-closed) holds exactly when every
     node span is trivial, i.e. the class is the reference measure alone.
+    ``bases`` maps decision nodes to their ``node_subspace_basis`` when the
+    caller has them already.
     """
     full_slice: dict[str, bool] = {}
     scaling_closed: dict[str, bool] = {}
     for n in tree.decision_nodes(tree.root):
-        q = tree.q_vector(n)
-        basis = node_subspace_basis(tree, priors, n)
+        basis = node_subspace_basis(tree, priors, n) if bases is None else bases[n]
         scaling_closed[n] = len(basis) == 0
-        extremes = priors.extremes(n)
-        if len(basis) == 0:
-            full_slice[n] = all(
-                max(abs(dc - 1.0) for dc in d) <= 1e-9 for d in extremes
-            )
-            continue
-        vertices = _slice_vertices(q, basis)
-        full_slice[n] = all(_in_hull(v, extremes) for v in vertices)
+        full_slice[n] = _full_slice(tree.q_vector(n), basis, priors.extremes(n))
     return PremiseReport(full_slice=full_slice, scaling_closed=scaling_closed)
 
 
@@ -226,6 +264,7 @@ def universal_decompose(
     C: dict[str, float] = {tree.root: 0.0}
     K: dict[str, float] = {tree.root: 0.0}
     A: dict[str, float] = {tree.root: 0.0}
+    bases: dict[str, list[tuple[float, ...]]] = {}
     min_delta_C = float("inf")
     residual = 0.0
     any_step = False
@@ -238,7 +277,7 @@ def universal_decompose(
         cond = step(q, itertools.repeat(1.0), [R[c] for c in children])
         drift = R[n] - cond
         increment = [R[c] - cond for c in children]
-        basis = node_subspace_basis(tree, priors, n)
+        basis = bases[n] = node_subspace_basis(tree, priors, n)
         k_part, m_part = kw_project(tree, n, increment, basis)
         for i, c in enumerate(children):
             delta_c = drift - k_part[i]
@@ -256,7 +295,7 @@ def universal_decompose(
         C_increasing=min_delta_C >= -FLAT_TOL,
         min_delta_C=min_delta_C,
         universal_martingale_residual=residual,
-        premise=premise_check(tree, priors),
+        premise=premise_check(tree, priors, bases=bases),
     )
     return Decomposition(
         X0=R[tree.root],

@@ -66,3 +66,7 @@ class MissingStateError(RobustSnellError):
 
 class ConfigError(RobustSnellError):
     """A run configuration violates the config schema."""
+
+
+class NonFiniteValueError(RobustSnellError):
+    """A value to be written out is NaN or infinite."""

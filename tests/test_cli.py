@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from robust_snell import fixtures, solve
-from robust_snell.cli import CSV_COLUMNS, run
+from robust_snell import NonFiniteValueError, fixtures, solve
+from robust_snell.cli import CSV_COLUMNS, run, write_summary
 
 
 def run_command(tmp_path, command, config_path, name="out"):
@@ -235,3 +236,110 @@ class TestExitCodes:
         code, outdir = run_command(tmp_path, "solve", config)
         assert code == 0
         assert read_summary(outdir)["R_root"] == 1.5
+
+
+def tt1_payload():
+    return json.loads(fixtures.config_path("tt1").read_text())
+
+
+def tt1_with(edit):
+    payload = tt1_payload()
+    edit(payload)
+    return payload
+
+
+def set_node(node_id, key, value):
+    def edit(payload):
+        for nd in payload["tree"]["nodes"]:
+            if nd["id"] == node_id:
+                nd[key] = value
+    return edit
+
+
+def set_extremes(value):
+    def edit(payload):
+        payload["priors"]["node_extremes"]["r"] = value
+    return edit
+
+
+def crr_with(**fields):
+    payload = {"crr": dict(CRR_CONFIG["crr"])}
+    payload["crr"].update(fields)
+    return payload
+
+
+NAN = float("nan")
+INF = float("inf")
+
+# (config, text the error message must contain); json.dumps writes NaN and
+# Infinity literals, which Python's json module reads back as floats
+BAD_CONFIGS = {
+    "Y-nan": (tt1_with(set_node("u", "Y", NAN)), "node 'u' Y"),
+    "Y-inf": (tt1_with(set_node("d", "Y", -INF)), "node 'd' Y"),
+    "Y-nan-string": (tt1_with(set_node("u", "Y", "nan")), "node 'u' Y"),
+    "q-nan": (tt1_with(set_node("u", "q", NAN)), "node 'u' q"),
+    "state-inf": (tt1_with(set_node("u", "states", {"S": INF})), "node 'u' state 'S'"),
+    "ratio-nan": (tt1_with(set_extremes([[NAN, 0.5], [0.5, 1.5]])), "priors at node 'r'"),
+    "ratio-inf": (tt1_with(set_extremes([[1.5, INF]])), "priors at node 'r'"),
+    "Y-string": (tt1_with(set_node("u", "Y", "x")), "node 'u' Y"),
+    "ratio-string": (tt1_with(set_extremes(["abc"])), "priors at node 'r'"),
+    "ratios-string": (tt1_with(set_extremes("abc")), "priors at node 'r'"),
+    "ratio-component-string": (tt1_with(set_extremes([[1.5, "x"]])), "priors at node 'r'"),
+    "states-list": (tt1_with(set_node("u", "states", [1.0])), "node 'u' states"),
+    "parent-object": (tt1_with(set_node("u", "parent", {"a": 1})), "node 'u' parent"),
+    "tolerance-nan": (tt1_with(lambda p: p.update(tolerance=NAN)), "tolerance"),
+    "alpha-string": (tt1_with(lambda p: p.update(alphas=["x"])), "alpha"),
+    "crr-S0-nan": (crr_with(S0=NAN), "crr S0"),
+    "crr-K-inf": (crr_with(K=INF), "crr K"),
+    "crr-up-string": (crr_with(up="x"), "crr up"),
+    "crr-ambiguity-nan": (crr_with(ambiguity=[NAN, 0.75]), "crr ambiguity"),
+    "crr-ambiguity-arity": (crr_with(ambiguity=[0.25, 0.5, 0.75]), "crr ambiguity"),
+    "crr-steps-inf": (crr_with(steps=INF), "crr block"),
+}
+
+
+class TestBadValues:
+    """Non-finite or wrongly typed values exit 2 with a message, writing nothing."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+    @pytest.mark.parametrize("command", ["solve", "decompose"])
+    def test_exit_2_without_output(self, tmp_path, capsys, name, command):
+        payload, where = BAD_CONFIGS[name]
+        code, outdir = run_command(tmp_path, command, write_config(tmp_path, payload))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("robust-snell: invalid configuration:")
+        assert where in err
+        assert not outdir.exists()
+
+    def test_non_finite_result_exits_2_without_output(self, tmp_path, capsys, monkeypatch):
+        from robust_snell import cli
+
+        def nan_root(*args, **kwargs):
+            return dataclasses.replace(decompose(*args, **kwargs), X0=float("nan"))
+
+        decompose = cli.universal_decompose
+        monkeypatch.setattr(cli, "universal_decompose", nan_root)
+        code, outdir = run_command(tmp_path, "decompose", fixtures.config_path("tt3"))
+        assert code == 2
+        assert "non-finite result: summary field 'X0' is nan" in capsys.readouterr().err
+        assert not (outdir / "summary.json").exists()
+        assert not (outdir / "nodes.csv").exists()
+
+
+class TestWriteSummary:
+    @pytest.mark.parametrize(
+        "summary",
+        [{"x": float("nan")}, {"x": [1.0, float("inf")]}, {"x": {"y": -float("inf")}}],
+    )
+    def test_refuses_non_finite(self, tmp_path, summary):
+        with pytest.raises(NonFiniteValueError, match="'x'|'y'"):
+            write_summary(tmp_path / "out", summary)
+        assert not (tmp_path / "out").exists()
+
+    def test_finite_summary_parses_strictly(self, tmp_path):
+        write_summary(tmp_path, {"a": 1.5, "b": [0.0, -2.0], "c": {"d": 1e-300}})
+        text = (tmp_path / "summary.json").read_text()
+        assert json.loads(text, parse_constant=pytest.fail) == {
+            "a": 1.5, "b": [0.0, -2.0], "c": {"d": 1e-300}
+        }

@@ -1,8 +1,19 @@
-import pytest
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import robust_snell
 from robust_snell import (
     AdaptedFamily,
     DensityProcess,
+    EventTree,
+    NodeRecord,
     NotASupermartingaleError,
     PriorSet,
     density_process,
@@ -16,6 +27,9 @@ from robust_snell import (
     u_star,
     universal_decompose,
 )
+from robust_snell import decomposition
+from robust_snell.decomposition import _full_slice, _in_hull, _slice_vertices
+from robust_snell.pricing import CrrParams, build_crr_barrier_tree, drift_ambiguity_priors
 
 
 class TestDoob:
@@ -193,6 +207,12 @@ class TestPremise:
         assert report.full_slice["r"] is True
         assert report.scaling_closed["r"] is False
 
+    def test_decompose_reports_the_same_premise(self, tt1, tt3):
+        for cfg in (tt1, tt3):
+            sol = solve(cfg.tree, cfg.payoff, cfg.priors)
+            dec = universal_decompose(cfg.tree, sol, cfg.priors)
+            assert dec.diagnostics.premise == premise_check(cfg.tree, cfg.priors)
+
     def test_premise_matches_increasing_drift_on_single_prior(self):
         for seed in range(8):
             tree, payoff, priors = random_instance(seed, single_prior=True)
@@ -200,6 +220,165 @@ class TestPremise:
             dec = universal_decompose(tree, sol, priors)
             assert dec.diagnostics.premise.scaling_closed_all
             assert dec.diagnostics.C_increasing
+
+
+def one_step(q1, extremes):
+    """A one-step binary tree with up-probability ``q1`` and the given extremes."""
+    tree = EventTree(
+        horizon=1,
+        records=[
+            NodeRecord(id="r", time=0),
+            NodeRecord(id="u", time=1, parent="r", q=q1),
+            NodeRecord(id="d", time=1, parent="r", q=1.0 - q1),
+        ],
+    )
+    return tree, PriorSet.from_node_extremes({"r": extremes})
+
+
+def lp_verdict(q, basis, extremes):
+    """The hull LP at every slice vertex: the general path of the premise check."""
+    return all(_in_hull(v, extremes) for v in _slice_vertices(q, basis))
+
+
+def closed_form_and_lp(q1, extremes):
+    tree, priors = one_step(q1, extremes)
+    q = tree.q_vector("r")
+    basis = node_subspace_basis(tree, priors, "r")
+    return _full_slice(q, basis, priors.extremes("r")), lp_verdict(q, basis, extremes), basis
+
+
+def crr_model(steps, ambiguity=(0.4, 0.6)):
+    params = CrrParams(
+        S0=5.0, up=1.1, down=0.9, steps=steps, rate=0.0, K=5.0, H=3.8,
+        q_up=0.5, ambiguity=ambiguity,
+    )
+    tree = build_crr_barrier_tree(params)
+    return tree, drift_ambiguity_priors(tree, params)
+
+
+# an up-probability that is an end of [0, 1] or at least 1e-6 away from both
+UP_PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-6, 1.0 - 1e-6))
+
+
+class TestBinaryClosedForm:
+    """At binary nodes the premise check decides the full slice without an LP."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        q1=st.floats(0.05, 0.95),
+        ups=st.lists(UP_PROBABILITY, min_size=1, max_size=3),
+    )
+    def test_agrees_with_the_lp(self, q1, ups):
+        q2 = 1.0 - q1
+        extremes = [[p / q1, (1.0 - p) / q2] for p in ups]
+        closed, lp, basis = closed_form_and_lp(q1, extremes)
+        assume(basis)
+        assert closed == lp
+
+    @pytest.mark.parametrize(
+        "q1,extremes,expected",
+        [
+            (0.5, [[2.0, 0.0], [0.0, 2.0]], True),
+            (0.5, [[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]], True),
+            (0.5, [[2.0, 0.0], [0.5, 1.5]], False),
+            (0.5, [[1.5, 0.5], [0.0, 2.0]], False),
+            (0.5, [[2.0, 0.0]], False),
+            (0.5, [[1.5, 0.5], [0.5, 1.5]], False),
+            (0.25, [[4.0, 0.0], [0.0, 4.0 / 3.0]], True),
+            (0.25, [[4.0, 0.0], [1.0, 1.0]], False),
+        ],
+    )
+    def test_endpoint_cases(self, q1, extremes, expected):
+        closed, lp, _ = closed_form_and_lp(q1, extremes)
+        assert closed is expected
+        assert lp is expected
+
+    def test_every_binary_node_of_the_models_agrees(self, tt1, tt4):
+        models = [(tt1.tree, tt1.priors), (tt4.tree, tt4.priors)]
+        models += [crr_model(steps, amb) for steps in (3, 5) for amb in ((0.4, 0.6), (0.01, 0.99))]
+        models += [(tree, priors) for tree, _, priors in map(random_instance, range(10))]
+        checked = 0
+        for tree, priors in models:
+            for n in tree.decision_nodes(tree.root):
+                q = tree.q_vector(n)
+                basis = node_subspace_basis(tree, priors, n)
+                if len(q) != 2 or not basis:
+                    continue
+                extremes = priors.extremes(n)
+                assert _full_slice(q, basis, extremes) == lp_verdict(q, basis, extremes)
+                checked += 1
+        assert checked > 50
+
+    def test_binary_nodes_solve_no_lp(self, tt1, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called at a binary node")
+
+        monkeypatch.setattr(decomposition, "linprog", no_lp)
+        tree, priors = crr_model(6)
+        report = premise_check(tree, priors)
+        assert not any(report.full_slice.values())
+        edge = PriorSet.from_node_extremes({"r": [[2.0, 0.0], [0.0, 2.0]]})
+        assert premise_check(tt1.tree, edge).full_slice == {"r": True}
+
+
+class TestThreeChildLp:
+    """Nodes with three or more children keep the slice-vertex hull LPs."""
+
+    @pytest.mark.parametrize(
+        "extremes,expected",
+        [
+            ([[1.9, 1.0, 0.1], [0.1, 1.0, 1.9]], False),
+            ([[2.0, 1.0, 0.0], [0.0, 1.0, 2.0]], True),
+            ([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 3.0]], True),
+            ([[2.0, 1.0, 0.0], [0.0, 1.0, 2.0], [1.0, 1.0, 1.0]], True),
+        ],
+    )
+    def test_tt3_node_uses_the_lp(self, tt3, monkeypatch, extremes, expected):
+        calls = []
+        linprog = decomposition.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["b_eq"])
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "linprog", counted)
+        priors = PriorSet.from_node_extremes({"r": extremes})
+        report = premise_check(tt3.tree, priors)
+        assert report.full_slice == {"r": expected}
+        assert calls
+
+    def test_linprog_is_a_module_attribute(self):
+        from scipy.optimize import linprog
+
+        assert getattr(decomposition, "linprog") is linprog
+        with pytest.raises(AttributeError):
+            getattr(decomposition, "no_such_name")
+
+
+def test_cli_runs_without_scipy_optimize(tmp_path):
+    """solve on tt1 and decompose on a 6-step CRR put never import scipy.optimize."""
+    config = tmp_path / "crr.json"
+    config.write_text(json.dumps({"crr": {
+        "S0": 5.0, "up": 1.1, "down": 0.9, "steps": 6, "K": 5.0, "H": 3.8,
+        "q_up": 0.5, "ambiguity": [0.4, 0.6],
+    }}))
+    script = (
+        "import sys\n"
+        "from robust_snell.cli import run\n"
+        f"assert run(['solve', '--config', {str(robust_snell.fixtures.config_path('tt1'))!r},"
+        f" '--out', {str(tmp_path / 'solve')!r}]) == 0\n"
+        f"assert run(['decompose', '--config', {str(config)!r},"
+        f" '--out', {str(tmp_path / 'decompose')!r}]) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(robust_snell.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
+    assert (tmp_path / "decompose" / "summary.json").exists()
 
 
 class TestFlatOff:
