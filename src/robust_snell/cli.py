@@ -132,12 +132,29 @@ def write_summary(outdir: Path, summary: Mapping[str, object]) -> None:
     (outdir / "summary.json").write_text(text, encoding="utf-8")
 
 
+def _require_finite_columns(columns: Mapping[str, Mapping[str, object]]) -> None:
+    """Raise NonFiniteValueError, naming the column and the node, if a value
+    in ``columns`` is NaN or infinite."""
+    for name, col in columns.items():
+        if not all(map(math.isfinite, col.values())):
+            n = next(n for n, value in col.items() if not math.isfinite(value))
+            raise NonFiniteValueError(
+                f"nodes.csv column {name!r} is {col[n]!r} at node {n!r}"
+            )
+
+
 def write_nodes_csv(
     outdir: Path,
     tree: EventTree,
     columns: Mapping[str, Mapping[str, object]],
 ) -> None:
-    """Emit one row per node in tree order; missing fields are left empty."""
+    """Emit one row per node in tree order; missing fields are left empty.
+
+    Raises NonFiniteValueError, writing nothing, if a column holds a NaN or an
+    infinity.  The tree's own fields (edge probabilities and states) are
+    checked where the tree is parsed or built.
+    """
+    _require_finite_columns(columns)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "nodes.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -165,6 +182,20 @@ def write_nodes_csv(
                 else:
                     row.append(_fmt(value))
             writer.writerow(row)
+
+
+def _write_outputs(
+    outdir: Path,
+    tree: EventTree,
+    summary: Mapping[str, object],
+    columns: Mapping[str, Mapping[str, object]],
+) -> None:
+    """Write ``summary.json`` and ``nodes.csv``, or neither when either would
+    hold a NaN or an infinity: the columns are checked before the summary is
+    written, and ``write_summary`` checks the summary before it writes."""
+    _require_finite_columns(columns)
+    write_summary(outdir, summary)
+    write_nodes_csv(outdir, tree, columns)
 
 
 # -- config parsing -----------------------------------------------------
@@ -410,8 +441,8 @@ def cmd_solve(cfg: RunConfig, outdir: Path) -> int:
             "value_target": certificate.value_target,
         },
     }
-    write_summary(outdir, summary)
-    write_nodes_csv(outdir, cfg.tree, _solve_columns(cfg, solution, rule_star, z_star))
+    columns = _solve_columns(cfg, solution, rule_star, z_star)
+    _write_outputs(outdir, cfg.tree, summary, columns)
     return 0
 
 
@@ -427,8 +458,8 @@ def cmd_oracle(cfg: RunConfig, outdir: Path) -> int:
         "max_deviation_R_plus": report.max_deviation_R_plus,
         "nodes_checked": report.nodes_checked,
     }
-    write_summary(outdir, summary)
-    write_nodes_csv(outdir, cfg.tree, _solve_columns(cfg, solution, None, None))
+    columns = _solve_columns(cfg, solution, None, None)
+    _write_outputs(outdir, cfg.tree, summary, columns)
     return 0
 
 
@@ -455,8 +486,7 @@ def cmd_decompose(cfg: RunConfig, outdir: Path) -> int:
     columns["C"] = dict(decomp.C.items())
     columns["K"] = dict(decomp.K.items())
     columns["A_q"] = dict(decomp.A_q.items())
-    write_summary(outdir, summary)
-    write_nodes_csv(outdir, cfg.tree, columns)
+    _write_outputs(outdir, cfg.tree, summary, columns)
     return 0
 
 
@@ -476,8 +506,8 @@ def cmd_price(cfg: RunConfig, outdir: Path) -> int:
         "optimal_prior_summary": result.node_up_probability,
         "attained": solution.attained,
     }
-    write_summary(outdir, summary)
-    write_nodes_csv(outdir, cfg.tree, _solve_columns(cfg, solution, rule_star, z_star))
+    columns = _solve_columns(cfg, solution, rule_star, z_star)
+    _write_outputs(outdir, cfg.tree, summary, columns)
     return 0
 
 

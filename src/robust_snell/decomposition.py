@@ -9,18 +9,19 @@ C is increasing exactly when the class is rich enough for the projection to
 stay below the predictable drift; otherwise the failure is reported in the
 diagnostics rather than raised.
 
-``scipy.optimize`` is imported only when a node with three or more children
-needs the hull LP of the premise check: ``linprog`` is a module attribute
-that resolves on first access.
+Basis and projection are tuple arithmetic whose inner products all go
+through ``filtration.step``.  numpy and ``scipy.optimize`` are imported only
+when a node with three or more children needs the hull LP of the premise
+check: ``linprog`` is a module attribute that resolves on first access, and
+the slice vertices and the LP's arrays import numpy where they are built.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .errors import NotASupermartingaleError
 from .filtration import AdaptedFamily, EventTree, StoppingRule, step
@@ -35,6 +36,13 @@ FLAT_TOL = 1e-10
 
 #: absolute tolerance on slice vertices: their sign, and telling two apart
 VERTEX_TOL = 1e-9
+
+#: determinant below which a square subsystem of the slice has no vertex
+DET_TOL = 1e-12
+
+#: bound on an increment's reference mean, relative to its largest entry
+#: (at least 1)
+MEAN_TOL = 1e-9
 
 
 def __getattr__(name: str):
@@ -56,15 +64,17 @@ def node_subspace_basis(
     <x, y> = sum_c q_c x_c y_c; every basis vector has zero reference mean.
     """
     q = tree.q_vector(node)
-    basis: list[np.ndarray] = []
+    basis: list[tuple[float, ...]] = []
     for d in priors.extremes(node):
-        vec = np.asarray(d, dtype=float) - 1.0
+        vec = tuple(dc - 1.0 for dc in d)
         for b in basis:
-            vec = vec - step(q, vec, b) * b
+            c = step(q, vec, b)
+            vec = tuple(x - c * y for x, y in zip(vec, b))
         norm_sq = step(q, vec, vec)
         if norm_sq > RANK_TOL:
-            basis.append(vec / np.sqrt(norm_sq))
-    return [tuple(float(x) for x in b) for b in basis]
+            norm = math.sqrt(norm_sq)
+            basis.append(tuple(x / norm for x in vec))
+    return basis
 
 
 def kw_project(
@@ -80,16 +90,17 @@ def kw_project(
     """
     q = tree.q_vector(node)
     mean = step(q, itertools.repeat(1.0), increment)
-    if abs(mean) > 1e-9 * max(1.0, max(abs(float(x)) for x in increment) if len(increment) else 1.0):
+    scale = max(1.0, max(map(abs, increment), default=1.0))
+    if abs(mean) > MEAN_TOL * scale:
         raise NotASupermartingaleError(
             f"increment at node {node!r} has nonzero reference mean {mean:g}"
         )
-    inc = np.asarray(increment, dtype=float)
-    k_part = np.zeros_like(inc)
+    k_part = tuple(0.0 for _ in increment)
     for b in basis:
-        k_part = k_part + step(q, inc, b) * np.asarray(b, dtype=float)
-    orth = inc - k_part
-    return tuple(float(x) for x in k_part), tuple(float(x) for x in orth)
+        c = step(q, increment, b)
+        k_part = tuple(x + c * y for x, y in zip(k_part, b))
+    orth = tuple(x - y for x, y in zip(increment, k_part))
+    return k_part, orth
 
 
 def doob(
@@ -141,21 +152,25 @@ class PremiseReport:
         return all(self.full_slice.values()) if self.full_slice else True
 
 
-def _slice_vertices(q: Sequence[float], basis: Sequence[Sequence[float]]) -> list[np.ndarray]:
+def _slice_vertices(
+    q: Sequence[float], basis: Sequence[Sequence[float]]
+) -> list[Sequence[float]]:
     """Vertices of {1 + B l >= 0} mapped back to density space.
 
     The polytope is bounded because every direction in the span has zero
     reference mean, so it cannot be nonnegative without vanishing.
     """
+    import numpy as np
+
     k = len(q)
     m = len(basis)
     B = np.asarray(basis, dtype=float).T  # shape (k, m)
     if m == 0:
         return [np.ones(k)]
-    vertices: list[np.ndarray] = []
+    vertices: list[Sequence[float]] = []
     for rows in itertools.combinations(range(k), m):
         sub = B[list(rows), :]
-        if abs(np.linalg.det(sub)) < 1e-12:
+        if abs(np.linalg.det(sub)) < DET_TOL:
             continue
         lam = np.linalg.solve(sub, -np.ones(m))
         point = 1.0 + B @ lam
@@ -170,8 +185,10 @@ def _same_point(a: Sequence[float], b: Sequence[float]) -> bool:
     return all(abs(x - y) <= VERTEX_TOL + 1e-5 * abs(y) for x, y in zip(a, b))
 
 
-def _in_hull(point: np.ndarray, extremes: Sequence[Sequence[float]]) -> bool:
+def _in_hull(point: Sequence[float], extremes: Sequence[Sequence[float]]) -> bool:
     """Feasibility of expressing ``point`` as a convex combination of extremes."""
+    import numpy as np
+
     E = np.asarray(extremes, dtype=float).T  # (k, n_ext)
     n_ext = E.shape[1]
     A_eq = np.vstack([E, np.ones((1, n_ext))])

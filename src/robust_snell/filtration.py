@@ -9,6 +9,7 @@ sets.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -204,8 +205,8 @@ def validate_tree(tree: EventTree) -> list[str]:
             if crec.q is None:
                 report.append(f"node {c}: missing edge probability")
                 continue
-            if crec.q < 0:
-                report.append(f"node {c}: negative probability {crec.q:g}")
+            if not 0 <= crec.q <= 1:
+                report.append(f"node {c}: edge probability {crec.q:g} outside [0, 1]")
             elif crec.q == 0:
                 report.append(f"node {n}: zero-probability branch (child {c})")
             total += crec.q
@@ -257,11 +258,13 @@ class AdaptedFamily:
 def validate_family(
     tree: EventTree, family: AdaptedFamily, require_nonnegative: bool = False
 ) -> list[str]:
-    """Check that a family is defined on every node (and nonnegative if asked)."""
+    """Check that a family is finite on every node (and nonnegative if asked)."""
     report = []
     for n in tree.nodes():
         if n not in family:
             report.append(f"family undefined at node {n}")
+        elif not math.isfinite(family[n]):
+            report.append(f"family not finite at node {n}: {family[n]:g}")
         elif require_nonnegative and family[n] < 0:
             report.append(f"family negative at node {n}: {family[n]:g}")
     return report

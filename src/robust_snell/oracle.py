@@ -7,10 +7,8 @@ backward-induction recursion they are used to check.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import SizeGuardError
 from .filtration import (
     AdaptedFamily,
     EventTree,
@@ -18,28 +16,8 @@ from .filtration import (
     enumerate_rules,
     fold,
 )
-from .priors import MAX_SELECTIONS, PriorSet
+from .priors import PriorSet, extreme_selections
 from .snell import solve
-
-
-def _subtree_selections(
-    tree: EventTree, priors: PriorSet, v: str
-) -> list[dict[str, int]]:
-    """Pure extreme selections restricted to the decision nodes below ``v``.
-
-    Ratios outside the subtree cannot affect a conditional value at ``v``, so
-    restricting keeps the enumeration exact while shrinking it.
-    """
-    nodes = tree.decision_nodes(v)
-    total = 1
-    for n in nodes:
-        total *= len(priors.extremes(n))
-        if total > MAX_SELECTIONS:
-            raise SizeGuardError(
-                f"extreme selections below {v!r} exceed the guard {MAX_SELECTIONS}"
-            )
-    ranges = [range(len(priors.extremes(n))) for n in nodes]
-    return [dict(zip(nodes, combo)) for combo in itertools.product(*ranges)]
 
 
 @dataclass(frozen=True)
@@ -74,7 +52,9 @@ def _brute_force(
     strict: bool,
 ) -> BruteForceResult:
     rules = enumerate_rules(tree, v, strict=strict)
-    selections = _subtree_selections(tree, priors, v)
+    # ratios outside the subtree at v cannot affect a value there, so only
+    # the selections below v are enumerated
+    selections = extreme_selections(tree, priors, v)
     # walk each rule and look up q and extremes once, outside the selection
     # loop that dominates the cost
     q = {n: tree.q_vector(n) for n in tree.decision_nodes(v)}

@@ -20,6 +20,10 @@ from .snell import SnellSolution, solve
 CROSSED_BELOW = "crossed_below"
 CROSSED_ABOVE = "crossed_above"
 
+#: most steps an unrolled tree may have: it holds 2**(steps + 1) - 1 nodes,
+#: about two million at 20 steps
+MAX_STEPS = 20
+
 
 @dataclass(frozen=True)
 class CrrParams:
@@ -45,20 +49,20 @@ class CrrParams:
 
     def validate(self) -> list[str]:
         report = []
-        if self.S0 <= 0:
-            report.append(f"S0 {self.S0:g} must be positive")
-        if self.up <= 1:
-            report.append(f"up factor {self.up:g} must exceed 1")
+        if not 0 < self.S0 < math.inf:
+            report.append(f"S0 {self.S0:g} must be positive and finite")
+        if not 1 < self.up < math.inf:
+            report.append(f"up factor {self.up:g} must exceed 1 and be finite")
         if not 0 < self.down < 1:
             report.append(f"down factor {self.down:g} must lie in (0, 1)")
-        if self.steps < 1:
-            report.append(f"steps {self.steps} must be at least 1")
-        if self.rate < 0:
-            report.append(f"rate {self.rate:g} must be nonnegative")
-        if self.K <= 0:
-            report.append(f"strike {self.K:g} must be positive")
-        if self.H <= 0:
-            report.append(f"barrier {self.H:g} must be positive")
+        if not 1 <= self.steps <= MAX_STEPS:
+            report.append(f"steps {self.steps} outside [1, {MAX_STEPS}]")
+        if not 0 <= self.rate < math.inf:
+            report.append(f"rate {self.rate:g} must be nonnegative and finite")
+        if not 0 < self.K < math.inf:
+            report.append(f"strike {self.K:g} must be positive and finite")
+        if not 0 < self.H < math.inf:
+            report.append(f"barrier {self.H:g} must be positive and finite")
         if self.direction not in (CROSSED_BELOW, CROSSED_ABOVE):
             report.append(f"unknown barrier direction {self.direction!r}")
         if not 0 < self.q_up < 1:
@@ -106,6 +110,11 @@ def build_crr_barrier_tree(params: CrrParams) -> EventTree:
             ):
                 child_id = prefix + move
                 child_price = price * factor
+                if child_price == math.inf:
+                    raise InvalidParamsError(
+                        f"price at node {child_id!r} overflows "
+                        f"(S0 {params.S0:g}, up factor {params.up:g})"
+                    )
                 child_hit = hit or hit_now(child_price)
                 records.append(
                     NodeRecord(

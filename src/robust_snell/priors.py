@@ -11,6 +11,7 @@ suprema can be searched over pure per-node extreme selections.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -26,6 +27,12 @@ from .filtration import AdaptedFamily, EventTree, StoppingRule, fold, step
 
 #: absolute tolerance on one-step martingale sums
 MARTINGALE_TOL = 1e-12
+
+#: absolute tolerance on z against the cumulative product of its ratios
+CUMULATIVE_TOL = 1e-10
+
+#: absolute tolerance on the sum of a selection's convex coefficients
+WEIGHT_SUM_TOL = 1e-9
 
 #: enumeration guard on the number of pure extreme selections
 MAX_SELECTIONS = 4096
@@ -122,8 +129,9 @@ def _violations(tree: EventTree, priors: PriorSet) -> list[tuple[str, str]]:
             if abs(total - 1.0) > MARTINGALE_TOL:
                 bad(f"node {n}: martingale sum {total:g} ≠ 1")
             for dc in d:
-                if dc < 0:
-                    bad(f"node {n}: negative density component {dc:g}")
+                if not 0 <= dc < math.inf:
+                    what = "negative" if dc < 0 else "non-finite"
+                    bad(f"node {n}: {what} density component {dc:g}")
                     break
                 if dc == 0 and priors.mode == MODE_EQUIVALENT:
                     bad(f"node {n}: nonpositive density component", BOUNDARY)
@@ -211,7 +219,7 @@ def validate_density_process(
             report.append(f"node {n}: martingale sum {total:g} ≠ 1")
         for c, rc in zip(tree.children(n), r):
             expected = process.z[n] * rc
-            if abs(process.z[c] - expected) > 1e-10:
+            if abs(process.z[c] - expected) > CUMULATIVE_TOL:
                 report.append(f"node {c}: z inconsistent with cumulative product")
     if mode == MODE_EQUIVALENT:
         for n in tree.nodes():
@@ -239,7 +247,7 @@ def _coefficients(
         )
     if any(w < 0 for w in weights):
         raise InvalidSelectionError(f"negative coefficient at node {node_id!r}")
-    if abs(sum(weights) - 1.0) > 1e-9:
+    if abs(sum(weights) - 1.0) > WEIGHT_SUM_TOL:
         raise InvalidSelectionError(
             f"coefficients sum {sum(weights):g} != 1 at node {node_id!r}"
         )

@@ -49,6 +49,10 @@ from .priors import (
 #: default absolute floor of the relative comparison tolerance
 DEFAULT_TOL = 1e-9
 
+#: extremes whose continuation value is within this much of the best, relative
+#: to the best (at least 1), tie for the maximum in equivalent mode
+TIE_TOL = 1e-12
+
 
 def _close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
@@ -115,7 +119,7 @@ def solve(
         if priors.mode == MODE_CLOSURE:
             attained_at[n] = True
         else:
-            tie_tol = 1e-12 * max(1.0, abs(best))
+            tie_tol = TIE_TOL * max(1.0, abs(best))
             maximizers = [d for d, v in zip(extremes, values) if v >= best - tie_tol]
             # the maximizing face contains a strictly positive ratio iff every
             # coordinate is positive on at least one maximizer
@@ -208,7 +212,7 @@ def extract_optimal_prior(
             child_values = [solution.R[c] for c in tree.children(n)]
             values = [step(q, d, child_values) for d in extremes]
             best = max(values)
-            tie_tol = 1e-12 * max(1.0, abs(best))
+            tie_tol = TIE_TOL * max(1.0, abs(best))
             winners = [i for i, val in enumerate(values) if val >= best - tie_tol]
             weight = 1.0 / len(winners)
             selection[n] = tuple(

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from robust_snell import NonFiniteValueError, fixtures, solve
-from robust_snell.cli import CSV_COLUMNS, run, write_summary
+from robust_snell.cli import CSV_COLUMNS, run, write_nodes_csv, write_summary
 
 
 def run_command(tmp_path, command, config_path, name="out"):
@@ -343,3 +343,24 @@ class TestWriteSummary:
         assert json.loads(text, parse_constant=pytest.fail) == {
             "a": 1.5, "b": [0.0, -2.0], "c": {"d": 1e-300}
         }
+
+
+class TestWriteNodesCsv:
+    def test_overflowing_decomposition_exits_2_without_output(self, tmp_path, capsys):
+        # finite rewards whose drift sums to more than the largest double
+        # along the path r -> u -> uu
+        payload = json.loads(fixtures.config_path("tt4").read_text())
+        for nd in payload["tree"]["nodes"]:
+            nd["Y"] = 1.7e308 if nd["id"] in ("r", "u") else 0.0
+        code, outdir = run_command(tmp_path, "decompose", write_config(tmp_path, payload))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("robust-snell: non-finite result:")
+        assert "column 'A_q' is inf at node 'uu'" in err
+        assert not outdir.exists()
+
+    def test_refuses_an_infinite_column(self, tmp_path, tt1):
+        columns = {"Y": {"r": 1.0, "u": 0.0, "d": 2.0}, "R": {"r": 1.0, "u": float("inf")}}
+        with pytest.raises(NonFiniteValueError, match="column 'R' is inf at node 'u'"):
+            write_nodes_csv(tmp_path / "out", tt1.tree, columns)
+        assert not (tmp_path / "out").exists()

@@ -355,21 +355,31 @@ class TestThreeChildLp:
             getattr(decomposition, "no_such_name")
 
 
-def test_cli_runs_without_scipy_optimize(tmp_path):
-    """solve on tt1 and decompose on a 6-step CRR put never import scipy.optimize."""
+def test_cli_runs_without_numpy_or_scipy_optimize(tmp_path):
+    """solve, price, oracle and a binary decompose import neither numpy nor
+    scipy.optimize: only the hull LP at 3-child nodes needs them."""
     config = tmp_path / "crr.json"
     config.write_text(json.dumps({"crr": {
         "S0": 5.0, "up": 1.1, "down": 0.9, "steps": 6, "K": 5.0, "H": 3.8,
         "q_up": 0.5, "ambiguity": [0.4, 0.6],
     }}))
-    script = (
-        "import sys\n"
-        "from robust_snell.cli import run\n"
-        f"assert run(['solve', '--config', {str(robust_snell.fixtures.config_path('tt1'))!r},"
-        f" '--out', {str(tmp_path / 'solve')!r}]) == 0\n"
-        f"assert run(['decompose', '--config', {str(config)!r},"
-        f" '--out', {str(tmp_path / 'decompose')!r}]) == 0\n"
-        "print('scipy.optimize' in sys.modules)\n"
+    small = tmp_path / "crr3.json"
+    small.write_text(json.dumps({"crr": {
+        "S0": 4.0, "up": 2.0, "down": 0.5, "steps": 3, "K": 5.0, "H": 4.0,
+        "ambiguity": [0.25, 0.75],
+    }}))
+    tt4 = robust_snell.fixtures.config_path("tt4")
+    runs = [
+        ("solve", robust_snell.fixtures.config_path("tt1")),
+        ("price", small),
+        ("oracle", tt4),
+        ("decompose", config),
+    ]
+    script = "import sys\nfrom robust_snell.cli import run\n" + "".join(
+        f"assert run([{command!r}, '--config', {str(path)!r},"
+        f" '--out', {str(tmp_path / command)!r}]) == 0\n"
+        "print(sorted({'numpy', 'scipy.optimize'} & set(sys.modules)))\n"
+        for command, path in runs
     )
     src = str(Path(robust_snell.__file__).resolve().parents[1])
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -377,8 +387,9 @@ def test_cli_runs_without_scipy_optimize(tmp_path):
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
-    assert (tmp_path / "decompose" / "summary.json").exists()
+    assert done.stdout.split("\n") == ["[]"] * len(runs) + [""]
+    for command, _ in runs:
+        assert (tmp_path / command / "summary.json").exists()
 
 
 class TestFlatOff:

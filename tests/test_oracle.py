@@ -1,7 +1,11 @@
 import pytest
 
 from robust_snell import (
+    AdaptedFamily,
+    EventTree,
+    NodeRecord,
     PriorSet,
+    SizeGuardError,
     brute_force_strict_value,
     brute_force_value,
     crosscheck,
@@ -49,6 +53,30 @@ class TestBruteForce:
         )
         robust = brute_force_value(tree, payoff, priors, "r").value
         assert robust == pytest.approx(classical, abs=1e-14)
+
+
+def full_binary_tree(depth):
+    """Full binary tree with ids from the root "r" by appending u or d."""
+    records = [NodeRecord(id="r", time=0)]
+    level = ["r"]
+    for t in range(1, depth + 1):
+        level = [
+            f"{'' if n == 'r' else n}{move}" for n in level for move in "ud"
+        ]
+        records += [
+            NodeRecord(id=c, time=t, parent="r" if t == 1 else c[:-1], q=0.5)
+            for c in level
+        ]
+    return EventTree(horizon=depth, records=records)
+
+
+def test_selection_guard_still_raises():
+    # 2 extremes at each of the 15 decision nodes: 2**15 = 32,768 selections
+    tree = full_binary_tree(4)
+    priors = PriorSet.constant(tree, [(0.5, 1.5), (1.5, 0.5)])
+    payoff = AdaptedFamily.constant(tree, 1.0)
+    with pytest.raises(SizeGuardError, match="32768 extreme selections"):
+        brute_force_value(tree, payoff, priors, "r")
 
 
 class TestStrictBruteForce:

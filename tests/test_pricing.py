@@ -61,6 +61,19 @@ class TestBuildTree:
         with pytest.raises(InvalidParamsError):
             build_crr_barrier_tree(CrrParams(S0=4.0, up=0.9, down=0.5, steps=2, rate=0.0, K=5.0, H=1.0))
 
+    def test_step_guard(self):
+        # the unrolled tree doubles with every step; a config's 1.7e308 steps
+        # must be refused before the build, not exhaust memory during it
+        params = {**BASE, "steps": int(1.7e308)}
+        with pytest.raises(InvalidParamsError, match=r"outside \[1, 20\]"):
+            build_crr_barrier_tree(CrrParams(H=4.0, **params))
+        assert CrrParams(H=4.0, **{**BASE, "steps": 20}).validate() == []
+
+    def test_overflowing_prices_are_refused(self):
+        params = {**BASE, "S0": 1e308}
+        with pytest.raises(InvalidParamsError, match="price at node 'u' overflows"):
+            build_crr_barrier_tree(CrrParams(H=4.0, **params))
+
 
 class TestKnockinPayoff:
     def test_undiscounted_hit_put(self):

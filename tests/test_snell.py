@@ -1,14 +1,23 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_snell import (
     AdaptedFamily,
+    CrrParams,
     DensityProcess,
+    EventTree,
+    InvalidFamilyError,
     InvalidParamsError,
+    InvalidPriorSetError,
+    InvalidTreeError,
     PriorSet,
     UnattainedSupremumError,
     brute_force_value,
+    build_crr_barrier_tree,
     check_optimality_certificate,
     check_supermartingale_family,
     crosscheck,
@@ -374,3 +383,36 @@ class TestStepOneIdentity:
                 for sel in extreme_selections(tt4.tree, tt4.priors)
             )
             assert alpha * sol.R["r"] <= best + 1e-10
+
+
+CRR_FIELDS = {"S0": 5.0, "up": 1.1, "down": 0.9, "steps": 2, "rate": 0.0, "K": 5.0, "H": 3.8}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("where", ["edge-q", "payoff", "extreme", "crr"])
+def test_validators_reject_non_finite(tt1, where, x):
+    """NaN and ±inf fail the range checks of every library validator."""
+    tree, payoff, priors = tt1.tree, tt1.payoff, tt1.priors
+    if where == "edge-q":
+        records = [
+            dataclasses.replace(tree.node(n), q=x) if n == "u" else tree.node(n)
+            for n in tree.nodes()
+        ]
+        with pytest.raises(InvalidTreeError, match="node u: edge probability"):
+            solve(EventTree(horizon=tree.horizon, records=records), payoff, priors)
+    elif where == "payoff":
+        bad = AdaptedFamily({**payoff.values, "u": x})
+        with pytest.raises(InvalidFamilyError, match="not finite at node u"):
+            solve(tree, bad, priors)
+    elif where == "extreme":
+        bad = PriorSet.from_node_extremes({"r": [[x, 0.5], [0.5, 1.5]]})
+        with pytest.raises(InvalidPriorSetError, match="density component"):
+            solve(tree, payoff, bad)
+    else:
+        for name in ("S0", "up", "down", "rate", "K", "H", "q_up"):
+            params = CrrParams(**{**CRR_FIELDS, name: x})
+            with pytest.raises(InvalidParamsError):
+                build_crr_barrier_tree(params)
+        for ambiguity in [(x, 0.6), (0.4, x)]:
+            with pytest.raises(InvalidParamsError, match="ambiguity"):
+                build_crr_barrier_tree(CrrParams(**CRR_FIELDS, ambiguity=ambiguity))
