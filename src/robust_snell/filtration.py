@@ -381,6 +381,35 @@ def fold(
     return values[walk.floor]
 
 
+def fold_rows(
+    walk: RuleWalk,
+    q: Callable[[str], Sequence[float]],
+    choices: Callable[[str], Sequence[Sequence[float]]],
+    stopped: Mapping[str, float],
+) -> tuple[float, ...]:
+    """Values at the walk's floor under every choice of ratios on its
+    continuation nodes.
+
+    A cut node's row is ``(stopped[s],)``; every continuation node, children
+    first, takes ``step(q(n), d, combo)`` for each ``d`` in ``choices(n)``
+    and, inside it, each combination of its children's rows.  So the floor's
+    row lists the value under every selection in mixed-radix order over the
+    continuation nodes in preorder, the first node's choice varying slowest,
+    and each entry is the number ``fold`` gives for that selection: subtree
+    values are shared between selections, never recomputed.
+    """
+    rows: dict[str, tuple[float, ...]] = {s: (y,) for s, y in stopped.items()}
+    for n, children in walk.continuation:
+        qn = q(n)
+        child_rows = [rows[c] for c in children]
+        rows[n] = tuple(
+            step(qn, d, combo)
+            for d in choices(n)
+            for combo in itertools.product(*child_rows)
+        )
+    return rows[walk.floor]
+
+
 def first_entry_rule(
     tree: EventTree, predicate: Callable[[str], bool], v: str
 ) -> StoppingRule:

@@ -1,22 +1,29 @@
 """Ground-truth brute force for the double supremum over rules and priors.
 
-Values are computed from the definition, by exhaustive enumeration of
-stopping rules crossed with pure extreme-point selections, never by the
-backward-induction recursion they are used to check.
+Values are computed from the definition, never by the backward-induction
+recursion they are used to check: every stopping rule at a node is evaluated
+under every pure extreme-point selection of the nodes where that rule
+continues (a selection where it has stopped cannot change its value), and
+the maximum is taken only over the complete values at the node.  The values
+of a rule's subtrees are shared between the selections that agree on them
+(``filtration.fold_rows``) instead of being recomputed for each one.  The
+size guards are those of ``enumerate_rules`` followed by the
+``MAX_SELECTIONS`` guard on every selection below the node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .filtration import (
     AdaptedFamily,
     EventTree,
     StoppingRule,
     enumerate_rules,
-    fold,
+    fold_rows,
 )
-from .priors import PriorSet, extreme_selections
+from .priors import PriorSet, guard_selection_count
 from .snell import solve
 
 
@@ -53,25 +60,49 @@ def _brute_force(
 ) -> BruteForceResult:
     rules = enumerate_rules(tree, v, strict=strict)
     # ratios outside the subtree at v cannot affect a value there, so only
-    # the selections below v are enumerated
-    selections = extreme_selections(tree, priors, v)
-    # walk each rule and look up q and extremes once, outside the selection
-    # loop that dominates the cost
-    q = {n: tree.q_vector(n) for n in tree.decision_nodes(v)}
-    extremes = {n: priors.extremes(n) for n in q}
+    # the selections below v are counted against the guard
+    guard_selection_count(tree, priors, v)
+    nodes = tree.decision_nodes(v)
+    q = {n: tree.q_vector(n) for n in nodes}
+    extremes = {n: priors.extremes(n) for n in nodes}
     best_value = float("-inf")
     best_rule = rules[0]
-    best_sel = selections[0]
+    best_index = 0
     for rule in rules:
         walk = rule.walk(tree)
-        stopped = {s: payoff[s] for s in walk.cut}
-        for sel in selections:
-            value = fold(walk, q.__getitem__, lambda n: extremes[n][sel[n]], stopped)
-            if value > best_value:
-                best_value = value
-                best_rule = rule
-                best_sel = sel
-    return BruteForceResult(value=best_value, best_rule=best_rule, best_selection=best_sel)
+        row = fold_rows(
+            walk, q.__getitem__, extremes.__getitem__, {s: payoff[s] for s in walk.cut}
+        )
+        value = max(row)
+        if value > best_value:
+            best_value = value
+            best_rule = rule
+            best_index = row.index(value)
+    return BruteForceResult(
+        value=best_value,
+        best_rule=best_rule,
+        best_selection=_selection_at(tree, best_rule, nodes, extremes, best_index),
+    )
+
+
+def _selection_at(
+    tree: EventTree,
+    rule: StoppingRule,
+    nodes: tuple[str, ...],
+    extremes: dict[str, Sequence[tuple[float, ...]]],
+    index: int,
+) -> dict[str, int]:
+    """Decode a ``fold_rows`` index of ``rule`` into a selection on ``nodes``.
+
+    Nodes where the rule stops or that it never reaches get extreme 0, so the
+    result is the first selection, in ``extreme_selections`` order, that
+    gives the rule this value.
+    """
+    continuation = rule.continuation_region(tree)
+    selection = dict.fromkeys(nodes, 0)
+    for n in reversed([n for n in nodes if n in continuation]):
+        index, selection[n] = divmod(index, len(extremes[n]))
+    return selection
 
 
 @dataclass(frozen=True)

@@ -364,6 +364,16 @@ def selection_count(tree: EventTree, priors: PriorSet, v: str | None = None) -> 
     return count
 
 
+def guard_selection_count(tree: EventTree, priors: PriorSet, v: str) -> None:
+    """Raise SizeGuardError when ``selection_count`` at ``v`` exceeds
+    MAX_SELECTIONS."""
+    total = selection_count(tree, priors, v)
+    if total > MAX_SELECTIONS:
+        raise SizeGuardError(
+            f"{total} extreme selections exceed the guard {MAX_SELECTIONS}"
+        )
+
+
 def extreme_selections(
     tree: EventTree, priors: PriorSet, v: str | None = None
 ) -> list[dict[str, int]]:
@@ -373,11 +383,7 @@ def extreme_selections(
     the class is attained at one of these selections.
     """
     v = tree.root if v is None else v
-    total = selection_count(tree, priors, v)
-    if total > MAX_SELECTIONS:
-        raise SizeGuardError(
-            f"{total} extreme selections exceed the guard {MAX_SELECTIONS}"
-        )
+    guard_selection_count(tree, priors, v)
     nodes = tree.decision_nodes(v)
     ranges = [range(len(priors.extremes(n))) for n in nodes]
     return [dict(zip(nodes, combo)) for combo in itertools.product(*ranges)]

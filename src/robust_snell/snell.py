@@ -13,7 +13,6 @@ supremum, which is its definition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -30,7 +29,7 @@ from .filtration import (
     StoppingRule,
     enumerate_rules,
     first_entry_rule,
-    fold,
+    fold_rows,
     step,
     stop_at_time_rule,
     validate_family,
@@ -387,22 +386,16 @@ def _repasted_supremum(
     """Best reward over strictly-later stops when the prior may be re-chosen
     from ``tau`` on but must follow ``base`` before it."""
     forced = tau.continuation_region(tree)
-    free_nodes = [n for n in tree.decision_nodes(v) if n not in forced]
-    ranges = [range(len(priors.extremes(n))) for n in free_nodes]
-    q = {n: tree.q_vector(n) for n in tree.decision_nodes(v)}
+    nodes = tree.decision_nodes(v)
+    q = {n: tree.q_vector(n) for n in nodes}
+    choices = {
+        n: (base.ratio_at(n),) if n in forced else priors.extremes(n) for n in nodes
+    }
     best = float("-inf")
     for sigma in _strict_rules_after(tree, tau, v):
         walk = sigma.walk(tree)
         stopped = {s: payoff[s] for s in walk.cut}
-        for combo in itertools.product(*ranges):
-            choice = dict(zip(free_nodes, combo))
-
-            def ratio(n: str) -> tuple[float, ...]:
-                if n in forced:
-                    return base.ratio_at(n)
-                return priors.extremes(n)[choice[n]]
-
-            best = max(best, fold(walk, q.__getitem__, ratio, stopped))
+        best = max(best, *fold_rows(walk, q.__getitem__, choices.__getitem__, stopped))
     return best
 
 

@@ -102,6 +102,21 @@ def test_cli_solve(tmp_path):
     assert summary["certificate"]["value"] == 1.0
 
 
+def test_cli_decompose(tmp_path):
+    config = tmp_path / "chain.json"
+    config.write_text(json.dumps(chain_config(STEPS)), encoding="utf-8")
+    outdir = tmp_path / "out"
+    assert cli.run(["decompose", "--config", str(config), "--out", str(outdir)]) == 0
+    summary = json.loads(
+        (outdir / "summary.json").read_text(encoding="utf-8"),
+        parse_constant=_reject_constant,
+    )
+    assert summary["X0"] == 1.0
+    assert summary["universal_martingale_residual"] <= 1e-9
+    rows = (outdir / "nodes.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == STEPS + 2  # header and one row per node
+
+
 def test_cli_solve_solves_once(tmp_path, monkeypatch):
     calls = []
 

@@ -1,21 +1,32 @@
+import random
+
 import pytest
 
 from robust_snell import (
     AdaptedFamily,
+    CrrParams,
     EventTree,
     NodeRecord,
     PriorSet,
     SizeGuardError,
     brute_force_strict_value,
     brute_force_value,
+    build_crr_barrier_tree,
     crosscheck,
     density_process,
+    drift_ambiguity_priors,
     enumerate_rules,
     expected_value_q,
     extreme_selections,
+    fixtures,
     gamma,
+    knockin_payoff,
     random_instance,
+    selection_count,
+    solve,
 )
+from robust_snell import filtration, oracle
+from robust_snell.filtration import fold
 
 
 class TestBruteForce:
@@ -79,6 +90,111 @@ def test_selection_guard_still_raises():
         brute_force_value(tree, payoff, priors, "r")
 
 
+def test_rule_cap_is_checked_before_the_selection_guard():
+    # a root with 18 children, each with 2 leaves: 1 + 2**18 = 262,145 rules
+    # (cap 200,000) on 19 decision nodes, and 2**19 selections (guard 4096)
+    k = 18
+    records = [NodeRecord(id="r", time=0)]
+    for i in range(k):
+        records.append(NodeRecord(id=f"c{i}", time=1, parent="r", q=1.0 / k))
+        records += [
+            NodeRecord(id=f"c{i}{m}", time=2, parent=f"c{i}", q=0.5) for m in "ud"
+        ]
+    tree = EventTree(horizon=2, records=records)
+    extremes = {f"c{i}": [(1.0, 1.0), (1.5, 0.5)] for i in range(k)}
+    extremes["r"] = [(1.0,) * k, (1.5,) * (k // 2) + (0.5,) * (k // 2)]
+    priors = PriorSet.from_node_extremes(extremes)
+    payoff = AdaptedFamily.constant(tree, 1.0)
+    assert selection_count(tree, priors) > 4096
+    with pytest.raises(SizeGuardError, match="262145 stopping rules exceed the cap"):
+        brute_force_value(tree, payoff, priors, "r")
+    with pytest.raises(SizeGuardError, match="stopping rules exceed the cap"):
+        brute_force_strict_value(tree, payoff, priors, "r")
+
+
+def two_extreme_binary_tree(depth, seed, ambiguous=None):
+    """``full_binary_tree`` with seeded rewards and 2 extremes at ``ambiguous``
+    decision nodes (all of them by default), the reference ratio elsewhere.
+
+    Even seeds draw rewards from {0, 1, 2, 3}, so that many (rule, selection)
+    pairs tie and the tie-break is exercised.
+    """
+    rng = random.Random(seed)
+
+    def reward():
+        if seed % 2 == 0:
+            return float(rng.randint(0, 3))
+        return round(rng.uniform(0.0, 5.0), 6)
+
+    tree = full_binary_tree(depth)
+    payoff = AdaptedFamily({n: reward() for n in tree.nodes()})
+    decision = tree.decision_nodes(tree.root)
+    chosen = set(decision if ambiguous is None else rng.sample(decision, ambiguous))
+    extremes = {}
+    for n in decision:
+        if n not in chosen:
+            extremes[n] = [(1.0, 1.0)]
+            continue
+        ps = (rng.uniform(0.25, 0.5), rng.uniform(0.5, 0.75))
+        extremes[n] = [(p / 0.5, (1.0 - p) / 0.5) for p in ps]
+    return tree, payoff, PriorSet.from_node_extremes(extremes)
+
+
+def crr_put(steps):
+    params = CrrParams(
+        S0=5.0, up=1.1, down=0.9, steps=steps, rate=0.0, K=5.0, H=3.8,
+        q_up=0.5, ambiguity=(0.4, 0.6),
+    )
+    tree = build_crr_barrier_tree(params)
+    return tree, knockin_payoff(tree, params), drift_ambiguity_priors(tree, params)
+
+
+def reference_brute_force(tree, payoff, priors, v, strict):
+    """The oracle as a plain triple loop: rules x ``extreme_selections`` x
+    ``fold``, rules outer, strict ``>``."""
+    rules = enumerate_rules(tree, v, strict=strict)
+    selections = extreme_selections(tree, priors, v)
+    best = (float("-inf"), rules[0], selections[0])
+    for rule in rules:
+        walk = rule.walk(tree)
+        stopped = {s: payoff[s] for s in walk.cut}
+        for sel in selections:
+            value = fold(
+                walk, tree.q_vector, lambda n: priors.extremes(n)[sel[n]], stopped
+            )
+            if value > best[0]:
+                best = (value, rule, sel)
+    return best
+
+
+def _fixture(name):
+    f = fixtures.load(name)
+    return f.tree, f.payoff, f.priors
+
+
+REFERENCE_CASES = (
+    [(name, lambda name=name: _fixture(name)) for name in ("tt1", "tt3", "tt4")]
+    + [(f"crr{s}", lambda s=s: crr_put(s)) for s in (2, 3)]
+    + [(f"random{seed}", lambda seed=seed: random_instance(seed)) for seed in range(20)]
+    + [(f"binary{seed}", lambda seed=seed: two_extreme_binary_tree(3, seed))
+       for seed in range(6)]
+)
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in REFERENCE_CASES], ids=[n for n, _ in REFERENCE_CASES]
+)
+def test_matches_the_reference_triple_loop(build):
+    tree, payoff, priors = build()
+    for n in tree.nodes():
+        for strict in (False, True):
+            value, rule, sel = reference_brute_force(tree, payoff, priors, n, strict)
+            result = oracle._brute_force(tree, payoff, priors, n, strict)
+            assert result.value == value, (n, strict)
+            assert result.best_rule.labels == rule.labels, (n, strict)
+            assert result.best_selection == sel, (n, strict)
+
+
 class TestStrictBruteForce:
     def test_tt1(self, tt1):
         assert brute_force_strict_value(tt1.tree, tt1.payoff, tt1.priors, "r") == pytest.approx(1.5)
@@ -109,3 +225,28 @@ class TestCrosscheck:
             tree, payoff, priors = random_instance(seed)
             report = crosscheck(tree, payoff, priors)
             assert report.max_deviation < 1e-9, f"seed {seed}: {report}"
+
+
+def test_crosscheck_step_count_is_under_a_tenth_of_the_triple_loop(monkeypatch):
+    # the triple loop calls step once per continuation node of each rule
+    # under each selection below the floor; the rows share subtree values
+    tree, payoff, priors = two_extreme_binary_tree(4, seed=7, ambiguous=8)
+    triple_loop = sum(
+        selection_count(tree, priors, n) * len(rule.continuation_region(tree))
+        for n in tree.nodes()
+        for strict in (False, True)
+        for rule in enumerate_rules(tree, n, strict=strict)
+    )
+    solution = solve(tree, payoff, priors)
+    calls = 0
+    kernel = filtration.step
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(filtration, "step", counted)
+    report = crosscheck(tree, payoff, priors, solution=solution)
+    assert report.max_deviation < 1e-9
+    assert 0 < calls < triple_loop / 10, (calls, triple_loop)
