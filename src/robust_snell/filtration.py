@@ -364,23 +364,6 @@ def step(q: Sequence[float], d: Iterable[float], values: Iterable[float]) -> flo
     return total
 
 
-def fold(
-    walk: RuleWalk,
-    q: Callable[[str], Sequence[float]],
-    ratio: Callable[[str], Sequence[float]],
-    stopped: Mapping[str, float],
-) -> float:
-    """Value at the walk's floor of a family stopped at the walk's cut.
-
-    ``stopped`` gives the family on the cut; every continuation node, children
-    first, takes ``step(q(n), ratio(n), child values)``.
-    """
-    values = dict(stopped)
-    for n, children in walk.continuation:
-        values[n] = step(q(n), ratio(n), map(values.__getitem__, children))
-    return values[walk.floor]
-
-
 def fold_rows(
     walk: RuleWalk,
     q: Callable[[str], Sequence[float]],
@@ -394,9 +377,10 @@ def fold_rows(
     first, takes ``step(q(n), d, combo)`` for each ``d`` in ``choices(n)``
     and, inside it, each combination of its children's rows.  So the floor's
     row lists the value under every selection in mixed-radix order over the
-    continuation nodes in preorder, the first node's choice varying slowest,
-    and each entry is the number ``fold`` gives for that selection: subtree
-    values are shared between selections, never recomputed.
+    continuation nodes in preorder, the first node's choice varying slowest.
+    Subtree values are shared between selections, never recomputed.  With one
+    choice per node the row has one entry: the value of the stopped family
+    under those ratios.
     """
     rows: dict[str, tuple[float, ...]] = {s: (y,) for s, y in stopped.items()}
     for n, children in walk.continuation:
@@ -545,4 +529,5 @@ def expected_value_q(
         raise FloorMismatchError(f"rule floor {rule.floor!r} != evaluation node {v!r}")
     walk = rule.walk(tree)
     stopped = {s: family[s] for s in walk.cut}
-    return fold(walk, tree.q_vector, lambda n: itertools.repeat(1.0), stopped)
+    unit = (itertools.repeat(1.0),)
+    return fold_rows(walk, tree.q_vector, lambda n: unit, stopped)[0]

@@ -67,40 +67,42 @@ def _brute_force(
     extremes = {n: priors.extremes(n) for n in nodes}
     best_value = float("-inf")
     best_rule = rules[0]
+    best_continuation: tuple[tuple[str, tuple[str, ...]], ...] = ()
     best_index = 0
     for rule in rules:
         walk = rule.walk(tree)
         row = fold_rows(
             walk, q.__getitem__, extremes.__getitem__, {s: payoff[s] for s in walk.cut}
         )
-        value = max(row)
-        if value > best_value:
-            best_value = value
-            best_rule = rule
-            best_index = row.index(value)
+        for i, value in enumerate(row):
+            if value > best_value:
+                best_value = value
+                best_rule = rule
+                best_continuation = walk.continuation
+                best_index = i
     return BruteForceResult(
         value=best_value,
         best_rule=best_rule,
-        best_selection=_selection_at(tree, best_rule, nodes, extremes, best_index),
+        best_selection=_selection_at(nodes, best_continuation, extremes, best_index),
     )
 
 
 def _selection_at(
-    tree: EventTree,
-    rule: StoppingRule,
     nodes: tuple[str, ...],
+    continuation: tuple[tuple[str, tuple[str, ...]], ...],
     extremes: dict[str, Sequence[tuple[float, ...]]],
     index: int,
 ) -> dict[str, int]:
-    """Decode a ``fold_rows`` index of ``rule`` into a selection on ``nodes``.
+    """Decode a ``fold_rows`` index of a walk with ``continuation`` into a
+    selection on ``nodes``.
 
     Nodes where the rule stops or that it never reaches get extreme 0, so the
     result is the first selection, in ``extreme_selections`` order, that
     gives the rule this value.
     """
-    continuation = rule.continuation_region(tree)
+    continuing = {n for n, _ in continuation}
     selection = dict.fromkeys(nodes, 0)
-    for n in reversed([n for n in nodes if n in continuation]):
+    for n in reversed([n for n in nodes if n in continuing]):
         index, selection[n] = divmod(index, len(extremes[n]))
     return selection
 

@@ -23,7 +23,7 @@ from .errors import (
     SizeGuardError,
     UndefinedConditionalError,
 )
-from .filtration import AdaptedFamily, EventTree, StoppingRule, fold, step
+from .filtration import AdaptedFamily, EventTree, StoppingRule, fold_rows, step
 
 #: absolute tolerance on one-step martingale sums
 MARTINGALE_TOL = 1e-12
@@ -352,7 +352,9 @@ def bayes_conditional(
         )
     walk = rule.walk(tree)
     stopped = {s: family[s] for s in walk.cut}
-    return fold(walk, tree.q_vector, process.ratio_at, stopped)
+    return fold_rows(
+        walk, tree.q_vector, lambda n: (process.ratio_at(n),), stopped
+    )[0]
 
 
 def selection_count(tree: EventTree, priors: PriorSet, v: str | None = None) -> int:

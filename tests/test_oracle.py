@@ -26,7 +26,7 @@ from robust_snell import (
     solve,
 )
 from robust_snell import filtration, oracle
-from robust_snell.filtration import fold
+from robust_snell.filtration import step
 
 
 class TestBruteForce:
@@ -149,6 +149,39 @@ def crr_put(steps):
     return tree, knockin_payoff(tree, params), drift_ambiguity_priors(tree, params)
 
 
+def overflow_instance():
+    """A child value that overflows to inf under the first extreme at ``a``,
+    seen by ``r`` through a zero ratio: ``0 * inf`` makes the first entry of
+    a rule's row NaN while its other entries are finite or inf."""
+    big = 1.7976931348623157e308
+    tree = EventTree(horizon=2, records=[
+        NodeRecord(id="r", time=0),
+        NodeRecord(id="a", time=1, parent="r", q=0.5),
+        NodeRecord(id="b", time=1, parent="r", q=0.5),
+        NodeRecord(id="aa", time=2, parent="a", q=0.5),
+        NodeRecord(id="ab", time=2, parent="a", q=0.5),
+        NodeRecord(id="ba", time=2, parent="b", q=0.5),
+        NodeRecord(id="bb", time=2, parent="b", q=0.5),
+    ])
+    payoff = AdaptedFamily(
+        {"r": 0.0, "a": 0.0, "b": 1.0, "aa": big, "ab": big, "ba": 0.0, "bb": 2.0}
+    )
+    priors = PriorSet.from_node_extremes({
+        "r": [(0.0, 2.0), (1.0, 1.0)],
+        "a": [(1.0 + 1e-13, 1.0 + 1e-13), (1.0, 1.0)],
+        "b": [(1.0, 1.0)],
+    })
+    return tree, payoff, priors
+
+
+def fold(walk, q, ratio, stopped):
+    """One rule under one selection: ``step`` at every continuation node."""
+    values = dict(stopped)
+    for n, children in walk.continuation:
+        values[n] = step(q(n), ratio(n), map(values.__getitem__, children))
+    return values[walk.floor]
+
+
 def reference_brute_force(tree, payoff, priors, v, strict):
     """The oracle as a plain triple loop: rules x ``extreme_selections`` x
     ``fold``, rules outer, strict ``>``."""
@@ -178,6 +211,7 @@ REFERENCE_CASES = (
     + [(f"random{seed}", lambda seed=seed: random_instance(seed)) for seed in range(20)]
     + [(f"binary{seed}", lambda seed=seed: two_extreme_binary_tree(3, seed))
        for seed in range(6)]
+    + [("overflow", overflow_instance)]
 )
 
 
