@@ -10,10 +10,13 @@ stay below the predictable drift; otherwise the failure is reported in the
 diagnostics rather than raised.
 
 Basis and projection are tuple arithmetic whose inner products all go
-through ``filtration.step``.  numpy and ``scipy.optimize`` are imported only
-when a node with three or more children needs the hull LP of the premise
-check: ``linprog`` is a module attribute that resolves on first access, and
-the slice vertices and the LP's arrays import numpy where they are built.
+through ``filtration.step``.  The premise check needs no LP either: the
+node's slice of admissible densities contains every extreme, and a vertex of
+a convex set lies in the hull of a subset only if it is one of the subset's
+points, so the hull of the extremes is the whole slice exactly when every
+slice vertex is an extreme.  The vertices come from small square systems
+solved by Gaussian elimination, so the package needs neither numpy nor
+scipy.
 """
 
 from __future__ import annotations
@@ -46,7 +49,12 @@ MEAN_TOL = 1e-9
 
 
 def __getattr__(name: str):
-    """Import scipy's ``linprog`` on first access and bind it in this module."""
+    """Import scipy's ``linprog`` on first access and bind it in this module.
+
+    Nothing in the package calls it.  It stays only because the bench's
+    tracer (``bench/inproc.py``) looks ``linprog`` up here by name to count
+    LPs; ROADMAP item 1, which moves tracing into the library, deletes it.
+    """
     if name != "linprog":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy.optimize import linprog
@@ -152,31 +160,55 @@ class PremiseReport:
         return all(self.full_slice.values()) if self.full_slice else True
 
 
+def _solve_square(
+    rows: Sequence[Sequence[float]], rhs: Sequence[float]
+) -> list[float] | None:
+    """Solve a square system by Gaussian elimination with partial pivoting.
+
+    Returns None when the determinant, the product of the pivots, is below
+    ``DET_TOL`` in absolute value.
+    """
+    a = [[*row, y] for row, y in zip(rows, rhs)]
+    m = len(a)
+    det = 1.0
+    for j in range(m):
+        p = max(range(j, m), key=lambda i: abs(a[i][j]))
+        a[j], a[p] = a[p], a[j]
+        pivot = a[j][j]
+        det *= pivot
+        if pivot == 0.0:
+            return None
+        for i in range(j + 1, m):
+            f = a[i][j] / pivot
+            a[i] = [x - f * y for x, y in zip(a[i], a[j])]
+    if abs(det) < DET_TOL:
+        return None
+    x = [0.0] * m
+    for j in reversed(range(m)):
+        x[j] = (a[j][m] - sum(a[j][i] * x[i] for i in range(j + 1, m))) / a[j][j]
+    return x
+
+
 def _slice_vertices(
     q: Sequence[float], basis: Sequence[Sequence[float]]
-) -> list[Sequence[float]]:
+) -> list[tuple[float, ...]]:
     """Vertices of {1 + B l >= 0} mapped back to density space.
 
     The polytope is bounded because every direction in the span has zero
-    reference mean, so it cannot be nonnegative without vanishing.
+    reference mean, so it cannot be nonnegative without vanishing.  Each
+    vertex makes m = len(basis) of the k coordinates vanish; an empty basis
+    leaves the single point 1.
     """
-    import numpy as np
-
-    k = len(q)
-    m = len(basis)
-    B = np.asarray(basis, dtype=float).T  # shape (k, m)
-    if m == 0:
-        return [np.ones(k)]
-    vertices: list[Sequence[float]] = []
-    for rows in itertools.combinations(range(k), m):
-        sub = B[list(rows), :]
-        if abs(np.linalg.det(sub)) < DET_TOL:
+    vertices: list[tuple[float, ...]] = []
+    for rows in itertools.combinations(range(len(q)), len(basis)):
+        lam = _solve_square([[b[r] for b in basis] for r in rows], [-1.0] * len(rows))
+        if lam is None:
             continue
-        lam = np.linalg.solve(sub, -np.ones(m))
-        point = 1.0 + B @ lam
-        if np.all(point >= -VERTEX_TOL):
-            if not any(_same_point(point, v) for v in vertices):
-                vertices.append(point)
+        point = tuple(
+            1.0 + sum(x * b[c] for x, b in zip(lam, basis)) for c in range(len(q))
+        )
+        if min(point) >= -VERTEX_TOL and not any(_same_point(point, v) for v in vertices):
+            vertices.append(point)
     return vertices
 
 
@@ -185,40 +217,26 @@ def _same_point(a: Sequence[float], b: Sequence[float]) -> bool:
     return all(abs(x - y) <= VERTEX_TOL + 1e-5 * abs(y) for x, y in zip(a, b))
 
 
-def _in_hull(point: Sequence[float], extremes: Sequence[Sequence[float]]) -> bool:
-    """Feasibility of expressing ``point`` as a convex combination of extremes."""
-    import numpy as np
-
-    E = np.asarray(extremes, dtype=float).T  # (k, n_ext)
-    n_ext = E.shape[1]
-    A_eq = np.vstack([E, np.ones((1, n_ext))])
-    b_eq = np.concatenate([point, [1.0]])
-    # through the module global, so that a replaced ``linprog`` sees every LP
-    lp = globals().get("linprog") or __getattr__("linprog")
-    res = lp(
-        c=np.zeros(n_ext),
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=[(0, None)] * n_ext,
-        method="highs",
-    )
-    return bool(res.status == 0)
-
-
 def _full_slice(
     q: Sequence[float],
     basis: Sequence[Sequence[float]],
     extremes: Sequence[Sequence[float]],
 ) -> bool:
-    """Whether the hull of ``extremes`` is the node's whole slice."""
+    """Whether the hull of ``extremes`` is the node's whole slice.
+
+    The slice contains every extreme, and a vertex of a convex set lies in
+    the hull of a subset only if it is one of the subset's points, so the
+    hull is the slice exactly when every slice vertex is an extreme.
+    """
     if not basis:
         return all(max(abs(dc - 1.0) for dc in d) <= VERTEX_TOL for d in extremes)
     if len(q) == 2:
-        # the slice is the segment from (1/q1, 0) to (0, 1/q2); the hull of
-        # the extremes covers it exactly when both ends are extremes
+        # kept: faster than the general rule below on all-binary CRR decompose;
+        # the slice is the segment from (1/q1, 0) to (0, 1/q2), and those two
+        # ends are its vertices
         ends = ((1.0 / q[0], 0.0), (0.0, 1.0 / q[1]))
         return all(any(_same_point(end, d) for d in extremes) for end in ends)
-    return all(_in_hull(v, extremes) for v in _slice_vertices(q, basis))
+    return all(any(_same_point(v, d) for d in extremes) for v in _slice_vertices(q, basis))
 
 
 def premise_check(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -240,7 +241,19 @@ def _coefficients(
         return tuple(
             1.0 if i == selection_entry else 0.0 for i in range(n_extremes)
         )
-    weights = tuple(float(w) for w in selection_entry)
+    if isinstance(selection_entry, (str, bytes)) or not isinstance(selection_entry, Iterable):
+        raise InvalidSelectionError(
+            f"selection {selection_entry!r} at node {node_id!r} is neither an extreme "
+            "index nor a sequence of coefficients"
+        )
+    entries = tuple(selection_entry)
+    if not all(
+        isinstance(w, Real) and not isinstance(w, bool) and math.isfinite(w) for w in entries
+    ):
+        raise InvalidSelectionError(
+            f"coefficients {entries!r} at node {node_id!r} are not all finite numbers"
+        )
+    weights = tuple(map(float, entries))
     if len(weights) != n_extremes:
         raise InvalidSelectionError(
             f"{len(weights)} coefficients for {n_extremes} extremes at node {node_id!r}"

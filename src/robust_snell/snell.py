@@ -356,23 +356,18 @@ def _best_over_selections(
 def _strict_rules_after(
     tree: EventTree, tau: StoppingRule, v: str
 ) -> list[StoppingRule]:
-    """Rules stopping strictly after ``tau`` where it stops before the horizon."""
-    out = []
-    for sigma in enumerate_rules(tree, v):
-        ok = True
-        for leaf in tree.leaves_below(v):
-            t_tau = tau.stop_time(tree, leaf)
-            t_sig = sigma.stop_time(tree, leaf)
-            if t_tau < tree.horizon:
-                if t_sig <= t_tau:
-                    ok = False
-                    break
-            elif t_sig != tree.horizon:
-                ok = False
-                break
-        if ok:
-            out.append(sigma)
-    return out
+    """Rules stopping strictly after ``tau`` where it stops before the horizon.
+
+    On each path such a rule passes through every node where ``tau``
+    continues and every stop of ``tau`` before the horizon, so one walk of
+    ``tau`` lists the nodes at which the rule must not stop.
+    """
+    walk = tau.walk(tree)
+    passed = [n for n, _ in walk.continuation]
+    passed += [s for s in walk.cut if tree.time(s) < tree.horizon]
+    return [
+        sigma for sigma in enumerate_rules(tree, v) if not any(map(sigma.stops_at, passed))
+    ]
 
 
 def _repasted_supremum(
@@ -381,10 +376,11 @@ def _repasted_supremum(
     priors: PriorSet,
     base: DensityProcess,
     tau: StoppingRule,
+    later: Sequence[StoppingRule],
     v: str,
 ) -> float:
-    """Best reward over strictly-later stops when the prior may be re-chosen
-    from ``tau`` on but must follow ``base`` before it."""
+    """Best reward over the strictly-later stops ``later`` when the prior may
+    be re-chosen from ``tau`` on but must follow ``base`` before it."""
     forced = tau.continuation_region(tree)
     nodes = tree.decision_nodes(v)
     q = {n: tree.q_vector(n) for n in nodes}
@@ -392,7 +388,7 @@ def _repasted_supremum(
         n: (base.ratio_at(n),) if n in forced else priors.extremes(n) for n in nodes
     }
     best = float("-inf")
-    for sigma in _strict_rules_after(tree, tau, v):
+    for sigma in later:
         walk = sigma.walk(tree)
         stopped = {s: payoff[s] for s in walk.cut}
         best = max(best, *fold_rows(walk, q.__getitem__, choices.__getitem__, stopped))
@@ -478,19 +474,19 @@ def verify_value_identities(
     tower_detail: dict[str, object] = {}
     literal_entries: list[dict[str, float]] = []
     literal_dev = 0.0
+    later_rules = [_strict_rules_after(tree, tau, v) for tau in taus]
     for base in measures:
         if base.z.get(v, 0.0) == 0.0:
             continue
-        for tau in taus:
+        for tau, later in zip(taus, later_rules):
             lhs = bayes_conditional(tree, base, solution.R_plus, tau, v)
-            rhs = _repasted_supremum(tree, payoff, priors, base, tau, v)
+            rhs = _repasted_supremum(tree, payoff, priors, base, tau, later, v)
             dev = abs(lhs - rhs)
             if dev > dev_tower:
                 dev_tower = dev
                 tower_detail = {"lhs": lhs, "rhs": rhs}
             rhs_literal = max(
-                bayes_conditional(tree, base, payoff, sigma, v)
-                for sigma in _strict_rules_after(tree, tau, v)
+                bayes_conditional(tree, base, payoff, sigma, v) for sigma in later
             )
             literal_entries.append({"lhs": lhs, "rhs": rhs_literal})
             literal_dev = max(literal_dev, abs(lhs - rhs_literal))

@@ -1,12 +1,15 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import robust_snell
 from robust_snell import (
@@ -28,7 +31,13 @@ from robust_snell import (
     universal_decompose,
 )
 from robust_snell import decomposition
-from robust_snell.decomposition import _full_slice, _in_hull, _slice_vertices
+from robust_snell.decomposition import (
+    DET_TOL,
+    VERTEX_TOL,
+    _full_slice,
+    _same_point,
+    _slice_vertices,
+)
 from robust_snell.pricing import CrrParams, build_crr_barrier_tree, drift_ambiguity_priors
 
 
@@ -222,29 +231,65 @@ class TestPremise:
             assert dec.diagnostics.C_increasing
 
 
-def one_step(q1, extremes):
-    """A one-step binary tree with up-probability ``q1`` and the given extremes."""
-    tree = EventTree(
-        horizon=1,
-        records=[
-            NodeRecord(id="r", time=0),
-            NodeRecord(id="u", time=1, parent="r", q=q1),
-            NodeRecord(id="d", time=1, parent="r", q=1.0 - q1),
-        ],
-    )
+def one_step(q, extremes):
+    """A one-step tree with edge probabilities ``q`` and the given extremes."""
+    children = [NodeRecord(id=f"c{i}", time=1, parent="r", q=qc) for i, qc in enumerate(q)]
+    tree = EventTree(horizon=1, records=[NodeRecord(id="r", time=0), *children])
     return tree, PriorSet.from_node_extremes({"r": extremes})
 
 
+def _in_hull(point, extremes):
+    """Feasibility of expressing ``point`` as a convex combination of extremes."""
+    E = np.asarray(extremes, dtype=float).T  # (k, n_ext)
+    n_ext = E.shape[1]
+    res = linprog(
+        c=np.zeros(n_ext),
+        A_eq=np.vstack([E, np.ones((1, n_ext))]),
+        b_eq=np.concatenate([point, [1.0]]),
+        bounds=[(0, None)] * n_ext,
+        method="highs",
+    )
+    return bool(res.status == 0)
+
+
+def reference_vertices(q, basis):
+    """The slice vertices by ``numpy.linalg``, independent of the package's
+    Gaussian elimination."""
+    B = np.asarray(basis, dtype=float).T  # (k, m)
+    vertices = []
+    for rows in itertools.combinations(range(len(q)), len(basis)):
+        sub = B[list(rows), :]
+        if abs(np.linalg.det(sub)) < DET_TOL:
+            continue
+        point = 1.0 + B @ np.linalg.solve(sub, -np.ones(len(rows)))
+        if np.all(point >= -VERTEX_TOL):
+            if not any(np.allclose(point, v, atol=VERTEX_TOL) for v in vertices):
+                vertices.append(point)
+    return vertices
+
+
 def lp_verdict(q, basis, extremes):
-    """The hull LP at every slice vertex: the general path of the premise check."""
-    return all(_in_hull(v, extremes) for v in _slice_vertices(q, basis))
+    """The hull LP at every slice vertex: the reference for the vertex rule."""
+    return all(_in_hull(v, extremes) for v in reference_vertices(q, basis))
 
 
-def closed_form_and_lp(q1, extremes):
-    tree, priors = one_step(q1, extremes)
+def rule_and_lp(q, extremes):
+    tree, priors = one_step(q, extremes)
     q = tree.q_vector("r")
     basis = node_subspace_basis(tree, priors, "r")
     return _full_slice(q, basis, priors.extremes("r")), lp_verdict(q, basis, extremes), basis
+
+
+def in_band(q, extremes, vertices):
+    """Each extreme is a slice vertex, to rounding, or at least 1e-6 from every
+    vertex in probability terms: the LP decides membership only to its own
+    feasibility tolerance."""
+    for d in extremes:
+        for v in vertices:
+            gap = max(qc * abs(dc - vc) for qc, dc, vc in zip(q, d, v))
+            if 1e-12 < gap < 1e-6:
+                return False
+    return True
 
 
 def crr_model(steps, ambiguity=(0.4, 0.6)):
@@ -256,24 +301,51 @@ def crr_model(steps, ambiguity=(0.4, 0.6)):
     return tree, drift_ambiguity_priors(tree, params)
 
 
-# an up-probability that is an end of [0, 1] or at least 1e-6 away from both
-UP_PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-6, 1.0 - 1e-6))
+# a probability weight that is 0 or at least 1e-6
+WEIGHT = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+
+
+@st.composite
+def star_nodes(draw):
+    """Edge probabilities of a node with 2-5 children and its extremes: the
+    slice vertices of the span of a few random points of the probability
+    simplex, at most one of them dropped, and some of those points."""
+    k = draw(st.integers(2, 5))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    q = [r / sum(raw) for r in raw]
+    probabilities = draw(
+        st.lists(st.lists(WEIGHT, min_size=k, max_size=k).filter(any), min_size=1, max_size=k)
+    )
+    points = [[pc / sum(p) / qc for pc, qc in zip(p, q)] for p in probabilities]
+    tree, priors = one_step(q, points)
+    basis = node_subspace_basis(tree, priors, "r")
+    assume(basis)
+    vertices = [list(v) for v in reference_vertices(q, basis)]
+    drop = draw(st.one_of(st.none(), st.integers(0, max(0, len(vertices) - 1))))
+    extremes = [v for i, v in enumerate(vertices) if i != drop]
+    extremes += draw(st.lists(st.sampled_from(points), max_size=2))
+    assume(extremes)
+    return q, extremes
 
 
 class TestBinaryClosedForm:
-    """At binary nodes the premise check decides the full slice without an LP."""
+    """The premise check decides the full slice without an LP: in closed form
+    at binary nodes, by slice-vertex membership at larger ones."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        q1=st.floats(0.05, 0.95),
-        ups=st.lists(UP_PROBABILITY, min_size=1, max_size=3),
-    )
-    def test_agrees_with_the_lp(self, q1, ups):
-        q2 = 1.0 - q1
-        extremes = [[p / q1, (1.0 - p) / q2] for p in ups]
-        closed, lp, basis = closed_form_and_lp(q1, extremes)
+    @given(node=star_nodes())
+    def test_agrees_with_the_lp(self, node):
+        q, extremes = node
+        tree, priors = one_step(q, extremes)
+        q = tree.q_vector("r")
+        basis = node_subspace_basis(tree, priors, "r")
         assume(basis)
-        assert closed == lp
+        reference = reference_vertices(q, basis)
+        assume(in_band(q, extremes, reference))
+        vertices = _slice_vertices(q, basis)
+        assert len(vertices) == len(reference)
+        assert all(any(_same_point(v, r) for r in reference) for v in vertices)
+        assert _full_slice(q, basis, priors.extremes("r")) == lp_verdict(q, basis, extremes)
 
     @pytest.mark.parametrize(
         "q1,extremes,expected",
@@ -289,7 +361,7 @@ class TestBinaryClosedForm:
         ],
     )
     def test_endpoint_cases(self, q1, extremes, expected):
-        closed, lp, _ = closed_form_and_lp(q1, extremes)
+        closed, lp, _ = rule_and_lp((q1, 1.0 - q1), extremes)
         assert closed is expected
         assert lp is expected
 
@@ -309,9 +381,9 @@ class TestBinaryClosedForm:
                 checked += 1
         assert checked > 50
 
-    def test_binary_nodes_solve_no_lp(self, tt1, monkeypatch):
+    def test_binary_nodes_solve_no_lp(self, tt1, tt3, monkeypatch):
         def no_lp(*args, **kwargs):
-            raise AssertionError("linprog called at a binary node")
+            raise AssertionError("linprog called by the premise check")
 
         monkeypatch.setattr(decomposition, "linprog", no_lp)
         tree, priors = crr_model(6)
@@ -319,10 +391,12 @@ class TestBinaryClosedForm:
         assert not any(report.full_slice.values())
         edge = PriorSet.from_node_extremes({"r": [[2.0, 0.0], [0.0, 2.0]]})
         assert premise_check(tt1.tree, edge).full_slice == {"r": True}
+        assert premise_check(tt3.tree, tt3.priors).full_slice == {"r": False}
 
 
 class TestThreeChildLp:
-    """Nodes with three or more children keep the slice-vertex hull LPs."""
+    """Nodes with three or more children, which once needed a hull LP per
+    slice vertex, decide the full slice by vertex membership alone."""
 
     @pytest.mark.parametrize(
         "extremes,expected",
@@ -335,61 +409,72 @@ class TestThreeChildLp:
     )
     def test_tt3_node_uses_the_lp(self, tt3, monkeypatch, extremes, expected):
         calls = []
-        linprog = decomposition.linprog
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs["b_eq"])
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(decomposition, "linprog", counted)
+        monkeypatch.setattr(decomposition, "linprog", lambda *a, **kw: calls.append(kw))
         priors = PriorSet.from_node_extremes({"r": extremes})
         report = premise_check(tt3.tree, priors)
         assert report.full_slice == {"r": expected}
-        assert calls
+        assert not calls
 
     def test_linprog_is_a_module_attribute(self):
-        from scipy.optimize import linprog
-
         assert getattr(decomposition, "linprog") is linprog
         with pytest.raises(AttributeError):
             getattr(decomposition, "no_such_name")
 
 
+def write_random_config(tmp_path, seed):
+    """``random_instance(seed)`` written as a CLI config."""
+    tree, payoff, priors = random_instance(seed)
+    nodes = [{"id": tree.root, "time": 0, "Y": payoff[tree.root]}]
+    nodes += [
+        {"id": n, "time": tree.time(n), "parent": tree.parent(n), "q": tree.edge_q(n),
+         "Y": payoff[n]}
+        for n in tree.nodes() if n != tree.root
+    ]
+    extremes = {n: priors.extremes(n) for n in tree.decision_nodes(tree.root)}
+    path = tmp_path / f"random{seed}.json"
+    path.write_text(json.dumps({
+        "tree": {"horizon": tree.horizon, "nodes": nodes},
+        "priors": {"node_extremes": extremes},
+    }))
+    return path
+
+
 def test_cli_runs_without_numpy_or_scipy_optimize(tmp_path):
-    """solve, price, oracle and a binary decompose import neither numpy nor
-    scipy.optimize: only the hull LP at 3-child nodes needs them."""
-    config = tmp_path / "crr.json"
-    config.write_text(json.dumps({"crr": {
-        "S0": 5.0, "up": 1.1, "down": 0.9, "steps": 6, "K": 5.0, "H": 3.8,
-        "q_up": 0.5, "ambiguity": [0.4, 0.6],
-    }}))
-    small = tmp_path / "crr3.json"
-    small.write_text(json.dumps({"crr": {
+    """Every command runs with numpy and scipy blocked from import, and writes
+    the same bytes as an unblocked run."""
+    crr3 = tmp_path / "crr3.json"
+    crr3.write_text(json.dumps({"crr": {
         "S0": 4.0, "up": 2.0, "down": 0.5, "steps": 3, "K": 5.0, "H": 4.0,
         "ambiguity": [0.25, 0.75],
     }}))
-    tt4 = robust_snell.fixtures.config_path("tt4")
     runs = [
-        ("solve", robust_snell.fixtures.config_path("tt1")),
-        ("price", small),
-        ("oracle", tt4),
-        ("decompose", config),
+        (command, robust_snell.fixtures.config_path(name))
+        for name in ("tt1", "tt3", "tt4")
+        for command in ("solve", "oracle", "decompose")
     ]
-    script = "import sys\nfrom robust_snell.cli import run\n" + "".join(
-        f"assert run([{command!r}, '--config', {str(path)!r},"
-        f" '--out', {str(tmp_path / command)!r}]) == 0\n"
-        "print(sorted({'numpy', 'scipy.optimize'} & set(sys.modules)))\n"
-        for command, path in runs
-    )
+    # random_instance(0) has three 3-child nodes
+    runs += [("decompose", write_random_config(tmp_path, 0)), ("price", crr3)]
     src = str(Path(robust_snell.__file__).resolve().parents[1])
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.split("\n") == ["[]"] * len(runs) + [""]
-    for command, _ in runs:
-        assert (tmp_path / command / "summary.json").exists()
+    outputs = {}
+    for blocked in (True, False):
+        script = "import sys\n"
+        if blocked:
+            script += "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+        script += "from robust_snell.cli import run\n" + "".join(
+            f"assert run([{command!r}, '--config', {str(path)!r},"
+            f" '--out', {str(tmp_path / str(blocked) / str(i))!r}]) == 0\n"
+            for i, (command, path) in enumerate(runs)
+        )
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+        outputs[blocked] = {
+            f.relative_to(tmp_path / str(blocked)): f.read_bytes()
+            for f in sorted((tmp_path / str(blocked)).rglob("*"))
+            if f.is_file()
+        }
+    assert len(outputs[True]) >= 2 * len(runs)
+    assert outputs[True] == outputs[False]
 
 
 class TestFlatOff:

@@ -77,6 +77,9 @@ class TestDensityProcess:
             density_process(tt1.tree, tt1.priors, {"r": (-0.5, 1.5)})
         with pytest.raises(InvalidSelectionError):
             density_process(tt1.tree, tt1.priors, {"r": 5})
+        for entry in (True, 0.0, None, "ab", "01", [0.5, float("nan")], ["0.5", 0.5]):
+            with pytest.raises(InvalidSelectionError):
+                density_process(tt1.tree, tt1.priors, {"r": entry})
 
 
 class TestPaste:
