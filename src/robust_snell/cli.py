@@ -47,6 +47,7 @@ from .pricing import (
 )
 from .priors import MODE_CLOSURE, MODE_EQUIVALENT, PriorSet
 from .snell import (
+    DEFAULT_TOL,
     check_optimality_certificate,
     extract_optimal_prior,
     solve,
@@ -94,6 +95,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+#: the string quoting ``json.dumps`` applies under its default settings
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _json_value(value, indent: int, key: str = "") -> str:
     pad = " " * indent
     if isinstance(value, bool):
@@ -105,14 +110,14 @@ def _json_value(value, indent: int, key: str = "") -> str:
             raise NonFiniteValueError(f"summary field {key!r} is {value!r}")
         return _fmt(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return _quote(value)
     if value is None:
         return "null"
     if isinstance(value, Mapping):
         if not value:
             return "{}"
         parts = [
-            f'{pad}  {json.dumps(str(k))}: {_json_value(v, indent + 2, str(k))}'
+            f"{pad}  {_quote(str(k))}: {_json_value(v, indent + 2, str(k))}"
             for k, v in value.items()
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
@@ -324,7 +329,7 @@ def parse_config(path: str | Path) -> RunConfig:
     for a in alphas:
         if not 0 < a <= 1:
             raise ConfigError(f"alpha {a:g} outside (0, 1]")
-    tolerance = _number(raw.get("tolerance", 1e-9), "tolerance")
+    tolerance = _number(raw.get("tolerance", DEFAULT_TOL), "tolerance")
     if tolerance <= 0:
         raise ConfigError(f"tolerance {tolerance:g} must be positive")
     try:

@@ -40,8 +40,15 @@ FLAT_TOL = 1e-10
 #: absolute tolerance on slice vertices: their sign, and telling two apart
 VERTEX_TOL = 1e-9
 
+#: relative tolerance telling two slice vertices apart (numpy.allclose's rtol)
+VERTEX_RTOL = 1e-5
+
 #: determinant below which a square subsystem of the slice has no vertex
 DET_TOL = 1e-12
+
+#: default bound on a one-step gain in ``doob``, relative to the value (at
+#: least 1)
+DOOB_TOL = 1e-9
 
 #: bound on an increment's reference mean, relative to its largest entry
 #: (at least 1)
@@ -112,7 +119,10 @@ def kw_project(
 
 
 def doob(
-    tree: EventTree, family: AdaptedFamily, process: DensityProcess, tol: float = 1e-9
+    tree: EventTree,
+    family: AdaptedFamily,
+    process: DensityProcess,
+    tol: float = DOOB_TOL,
 ) -> tuple[AdaptedFamily, AdaptedFamily]:
     """Classical discrete Doob split of a supermartingale under one prior.
 
@@ -214,7 +224,7 @@ def _slice_vertices(
 
 def _same_point(a: Sequence[float], b: Sequence[float]) -> bool:
     """``numpy.allclose(a, b, atol=VERTEX_TOL)`` without its per-call overhead."""
-    return all(abs(x - y) <= VERTEX_TOL + 1e-5 * abs(y) for x, y in zip(a, b))
+    return all(abs(x - y) <= VERTEX_TOL + VERTEX_RTOL * abs(y) for x, y in zip(a, b))
 
 
 def _full_slice(

@@ -467,6 +467,8 @@ def enumerate_rules(tree: EventTree, v: str, strict: bool = False) -> list[Stopp
 
     The order is deterministic: on each subtree the immediate stop comes
     first, followed by the cartesian combinations of child enumerations.
+    At a non-terminal ``v`` the strict list is therefore the non-strict one
+    without its first rule.
     """
     n_decision = len(tree.decision_nodes(v))
     if n_decision > MAX_DECISION_NODES:
@@ -478,28 +480,20 @@ def enumerate_rules(tree: EventTree, v: str, strict: bool = False) -> list[Stopp
     if total > MAX_RULES:
         raise SizeGuardError(f"{total} stopping rules exceed the cap {MAX_RULES}")
 
-    def label_sets(n: str) -> list[dict[str, bool]]:
-        if tree.is_terminal(n):
-            return [{n: True}]
-        combos: list[dict[str, bool]] = [{n: True}]
-        child_sets = [label_sets(c) for c in tree.children(n)]
-        for parts in itertools.product(*child_sets):
+    def continuing(n: str) -> list[dict[str, bool]]:
+        """Labels of the rules that continue at the non-terminal ``n``."""
+        combos = []
+        for parts in itertools.product(*map(label_sets, tree.children(n))):
             lab = {n: False}
             for part in parts:
                 lab.update(part)
             combos.append(lab)
         return combos
 
-    if strict and not tree.is_terminal(v):
-        child_sets = [label_sets(c) for c in tree.children(v)]
-        all_labels = []
-        for parts in itertools.product(*child_sets):
-            lab = {v: False}
-            for part in parts:
-                lab.update(part)
-            all_labels.append(lab)
-    else:
-        all_labels = label_sets(v)
+    def label_sets(n: str) -> list[dict[str, bool]]:
+        return [{n: True}] if tree.is_terminal(n) else [{n: True}, *continuing(n)]
+
+    all_labels = continuing(v) if strict and not tree.is_terminal(v) else label_sets(v)
     return [StoppingRule(labels=lab, floor=v, strict=strict) for lab in all_labels]
 
 

@@ -1,11 +1,14 @@
 """Ground-truth brute force for the double supremum over rules and priors.
 
 Values are computed from the definition, never by the backward-induction
-recursion they are used to check: every stopping rule at a node is evaluated
-under every pure extreme-point selection of the nodes where that rule
-continues (a selection where it has stopped cannot change its value), and
-the maximum is taken only over the complete values at the node.  The values
-of a rule's subtrees are shared between the selections that agree on them
+recursion they are used to check: every stopping rule that continues at a
+node is evaluated under every pure extreme-point selection of the nodes
+where that rule continues (a selection where it has stopped cannot change
+its value), and the maximum is taken only over the complete values at the
+node.  That gives the strict value R_plus; the stopping times at a node are
+the immediate stop and the strictly later ones, so R is the larger of the
+reward and R_plus, taken from the same enumeration.  The values of a rule's
+subtrees are shared between the selections that agree on them
 (``filtration.fold_rows``) instead of being recomputed for each one.  The
 size guards are those of ``enumerate_rules`` followed by the
 ``MAX_SELECTIONS`` guard on every selection below the node.
@@ -39,16 +42,19 @@ def brute_force_value(
 ) -> BruteForceResult:
     """Max over all stopping rules at ``v`` and all extreme selections.
 
-    Ties are broken by enumeration order: rules outer, selections inner.
+    The immediate stop is weighed against the best rule that continues at
+    ``v``, so R(v) = max(Y(v), R_plus(v)) comes from the strict enumeration.
+    Ties are broken by enumeration order: the immediate stop first, then
+    rules outer, selections inner.
     """
-    return _brute_force(tree, payoff, priors, v, strict=False)
+    return _brute_force(tree, payoff, priors, v, strict=False)[0]
 
 
 def brute_force_strict_value(
     tree: EventTree, payoff: AdaptedFamily, priors: PriorSet, v: str
 ) -> float:
     """Same supremum over rules that must continue at a non-terminal ``v``."""
-    return _brute_force(tree, payoff, priors, v, strict=True).value
+    return _brute_force(tree, payoff, priors, v, strict=True)[1].value
 
 
 def _brute_force(
@@ -57,11 +63,18 @@ def _brute_force(
     priors: PriorSet,
     v: str,
     strict: bool,
-) -> BruteForceResult:
+) -> tuple[BruteForceResult, BruteForceResult]:
+    """The suprema at ``v`` over every rule and over the rules that continue
+    at a non-terminal ``v``, from one enumeration and fold of the latter.
+
+    ``strict`` selects the class whose size the rule cap counts.
+    """
     rules = enumerate_rules(tree, v, strict=strict)
     # ratios outside the subtree at v cannot affect a value there, so only
     # the selections below v are counted against the guard
     guard_selection_count(tree, priors, v)
+    if not (strict or tree.is_terminal(v)):
+        rules = rules[1:]
     nodes = tree.decision_nodes(v)
     q = {n: tree.q_vector(n) for n in nodes}
     extremes = {n: priors.extremes(n) for n in nodes}
@@ -80,11 +93,18 @@ def _brute_force(
                 best_rule = rule
                 best_continuation = walk.continuation
                 best_index = i
-    return BruteForceResult(
+    later = BruteForceResult(
         value=best_value,
         best_rule=best_rule,
         best_selection=_selection_at(nodes, best_continuation, extremes, best_index),
     )
+    stop = BruteForceResult(
+        # as in a strict ``>`` scan from -inf, a NaN reward is never taken
+        value=max(float("-inf"), payoff[v]),
+        best_rule=StoppingRule(labels={v: True}, floor=v),
+        best_selection=dict.fromkeys(nodes, 0),
+    )
+    return (later if later.value > stop.value else stop), later
 
 
 def _selection_at(
@@ -133,10 +153,9 @@ def crosscheck(
     max_rp = 0.0
     worst = nodes[0]
     for n in nodes:
-        dev_r = abs(solution.R[n] - brute_force_value(tree, payoff, priors, n).value)
-        dev_rp = abs(
-            solution.R_plus[n] - brute_force_strict_value(tree, payoff, priors, n)
-        )
+        plain, later = _brute_force(tree, payoff, priors, n, strict=False)
+        dev_r = abs(solution.R[n] - plain.value)
+        dev_rp = abs(solution.R_plus[n] - later.value)
         if max(dev_r, dev_rp) > max(max_r, max_rp):
             worst = n
         max_r = max(max_r, dev_r)

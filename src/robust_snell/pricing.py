@@ -15,7 +15,7 @@ from typing import Mapping
 from .errors import InvalidParamsError, MissingStateError
 from .filtration import AdaptedFamily, EventTree, NodeRecord
 from .priors import MODE_CLOSURE, PriorSet
-from .snell import SnellSolution, solve
+from .snell import DEFAULT_TOL, SnellSolution, solve
 
 CROSSED_BELOW = "crossed_below"
 CROSSED_ABOVE = "crossed_above"
@@ -193,7 +193,9 @@ class PriceResult:
     priors: PriorSet
 
 
-def price(params: CrrParams, mode: str = MODE_CLOSURE, tol: float = 1e-9) -> PriceResult:
+def price(
+    params: CrrParams, mode: str = MODE_CLOSURE, tol: float = DEFAULT_TOL
+) -> PriceResult:
     """Best-case hedging price of the knock-in put over the ambiguity interval.
 
     The price is the root value of the backward induction; the boundary is

@@ -26,6 +26,7 @@ from .errors import (
 from .filtration import (
     AdaptedFamily,
     EventTree,
+    RuleWalk,
     StoppingRule,
     enumerate_rules,
     first_entry_rule,
@@ -42,11 +43,15 @@ from .priors import (
     bayes_conditional,
     density_process,
     extreme_selections,
+    guard_selection_count,
     structural_violations,
 )
 
 #: default absolute floor of the relative comparison tolerance
 DEFAULT_TOL = 1e-9
+
+#: absolute tolerance of the value identities checked by enumeration
+IDENTITY_TOL = 1e-10
 
 #: extremes whose continuation value is within this much of the best, relative
 #: to the best (at least 1), tie for the maximum in equivalent mode
@@ -347,52 +352,10 @@ def _best_over_selections(
     v: str,
 ) -> float:
     """Max over pure extreme selections of the conditional stopped value."""
-    best = float("-inf")
-    for sel in extreme_selections(tree, priors, v):
-        best = max(best, bayes_conditional(tree, density_process(tree, priors, sel), family, rule, v))
-    return best
-
-
-def _strict_rules_after(
-    tree: EventTree, tau: StoppingRule, v: str
-) -> list[StoppingRule]:
-    """Rules stopping strictly after ``tau`` where it stops before the horizon.
-
-    On each path such a rule passes through every node where ``tau``
-    continues and every stop of ``tau`` before the horizon, so one walk of
-    ``tau`` lists the nodes at which the rule must not stop.
-    """
-    walk = tau.walk(tree)
-    passed = [n for n, _ in walk.continuation]
-    passed += [s for s in walk.cut if tree.time(s) < tree.horizon]
-    return [
-        sigma for sigma in enumerate_rules(tree, v) if not any(map(sigma.stops_at, passed))
-    ]
-
-
-def _repasted_supremum(
-    tree: EventTree,
-    payoff: AdaptedFamily,
-    priors: PriorSet,
-    base: DensityProcess,
-    tau: StoppingRule,
-    later: Sequence[StoppingRule],
-    v: str,
-) -> float:
-    """Best reward over the strictly-later stops ``later`` when the prior may
-    be re-chosen from ``tau`` on but must follow ``base`` before it."""
-    forced = tau.continuation_region(tree)
-    nodes = tree.decision_nodes(v)
-    q = {n: tree.q_vector(n) for n in nodes}
-    choices = {
-        n: (base.ratio_at(n),) if n in forced else priors.extremes(n) for n in nodes
-    }
-    best = float("-inf")
-    for sigma in later:
-        walk = sigma.walk(tree)
-        stopped = {s: payoff[s] for s in walk.cut}
-        best = max(best, *fold_rows(walk, q.__getitem__, choices.__getitem__, stopped))
-    return best
+    guard_selection_count(tree, priors, v)
+    walk = rule.walk(tree)
+    stopped = {s: family[s] for s in walk.cut}
+    return max(float("-inf"), *fold_rows(walk, tree.q_vector, priors.extremes, stopped))
 
 
 def verify_value_identities(
@@ -404,7 +367,7 @@ def verify_value_identities(
     measures: Sequence[DensityProcess] | None = None,
     taus: Sequence[StoppingRule] | None = None,
     v: str | None = None,
-    tol: float = 1e-10,
+    tol: float = IDENTITY_TOL,
 ) -> IdentityReport:
     """Verify the structural identities of the value families by enumeration.
 
@@ -469,25 +432,47 @@ def verify_value_identities(
         )
     )
 
-    # tower identity for the strict value, with and without re-chosen priors
+    # tower identity for the strict value, with and without re-chosen priors:
+    # the rules stopping strictly after tau, where tau stops before the
+    # horizon, are those whose cut holds none of tau's continuation nodes
+    # and none of its earlier stops
+    nodes = tree.decision_nodes(v)
+    q = {n: tree.q_vector(n) for n in nodes}
+    walks: list[tuple[RuleWalk, dict[str, float]]] | None = None
+    later_walks = []
+    for tau in taus:
+        tau_walk = tau.walk(tree)
+        if walks is None:
+            # the rules at v, enumerated and walked once, when a tau needs them
+            walks = [
+                (walk, {s: payoff[s] for s in walk.cut})
+                for walk in (sigma.walk(tree) for sigma in enumerate_rules(tree, v))
+            ]
+        forced = frozenset(n for n, _ in tau_walk.continuation)
+        passed = forced.union(s for s in tau_walk.cut if tree.time(s) < tree.horizon)
+        later_walks.append((forced, [w for w in walks if passed.isdisjoint(w[1])]))
     dev_tower = 0.0
     tower_detail: dict[str, object] = {}
     literal_entries: list[dict[str, float]] = []
     literal_dev = 0.0
-    later_rules = [_strict_rules_after(tree, tau, v) for tau in taus]
     for base in measures:
         if base.z.get(v, 0.0) == 0.0:
             continue
-        for tau, later in zip(taus, later_rules):
+        for tau, (forced, later) in zip(taus, later_walks):
             lhs = bayes_conditional(tree, base, solution.R_plus, tau, v)
-            rhs = _repasted_supremum(tree, payoff, priors, base, tau, later, v)
+            fixed = {n: (base.ratio_at(n),) for n in nodes}
+            # re-pasted: base before tau, any extreme from tau on
+            choices = {n: fixed[n] if n in forced else priors.extremes(n) for n in nodes}
+            rhs = float("-inf")
+            literal = []
+            for walk, stopped in later:
+                rhs = max(rhs, *fold_rows(walk, q.__getitem__, choices.__getitem__, stopped))
+                literal.append(fold_rows(walk, q.__getitem__, fixed.__getitem__, stopped)[0])
             dev = abs(lhs - rhs)
             if dev > dev_tower:
                 dev_tower = dev
                 tower_detail = {"lhs": lhs, "rhs": rhs}
-            rhs_literal = max(
-                bayes_conditional(tree, base, payoff, sigma, v) for sigma in later
-            )
+            rhs_literal = max(literal)
             literal_entries.append({"lhs": lhs, "rhs": rhs_literal})
             literal_dev = max(literal_dev, abs(lhs - rhs_literal))
     checks.append(

@@ -223,7 +223,8 @@ def test_matches_the_reference_triple_loop(build):
     for n in tree.nodes():
         for strict in (False, True):
             value, rule, sel = reference_brute_force(tree, payoff, priors, n, strict)
-            result = oracle._brute_force(tree, payoff, priors, n, strict)
+            plain, later = oracle._brute_force(tree, payoff, priors, n, strict)
+            result = later if strict else plain
             assert result.value == value, (n, strict)
             assert result.best_rule.labels == rule.labels, (n, strict)
             assert result.best_selection == sel, (n, strict)
@@ -261,6 +262,41 @@ class TestCrosscheck:
             assert report.max_deviation < 1e-9, f"seed {seed}: {report}"
 
 
+def count_steps(monkeypatch, call):
+    """The result of ``call()`` and the number of kernel ``step`` calls it
+    made."""
+    calls = 0
+    kernel = filtration.step
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(filtration, "step", counted)
+    result = call()
+    monkeypatch.setattr(filtration, "step", kernel)
+    return result, calls
+
+
+def test_crosscheck_folds_each_node_once(monkeypatch):
+    # R(n) comes from the strict enumeration plus the immediate stop, so
+    # crosscheck costs no more steps than the strict oracle at every node
+    tree, payoff, priors = two_extreme_binary_tree(4, seed=7, ambiguous=8)
+    solution = solve(tree, payoff, priors)
+    strict = sum(
+        count_steps(
+            monkeypatch, lambda n=n: brute_force_strict_value(tree, payoff, priors, n)
+        )[1]
+        for n in tree.nodes()
+    )
+    report, calls = count_steps(
+        monkeypatch, lambda: crosscheck(tree, payoff, priors, solution=solution)
+    )
+    assert report.max_deviation < 1e-9
+    assert calls == strict == 62_153
+
+
 def test_crosscheck_step_count_is_under_a_tenth_of_the_triple_loop(monkeypatch):
     # the triple loop calls step once per continuation node of each rule
     # under each selection below the floor; the rows share subtree values
@@ -272,15 +308,8 @@ def test_crosscheck_step_count_is_under_a_tenth_of_the_triple_loop(monkeypatch):
         for rule in enumerate_rules(tree, n, strict=strict)
     )
     solution = solve(tree, payoff, priors)
-    calls = 0
-    kernel = filtration.step
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return kernel(*args)
-
-    monkeypatch.setattr(filtration, "step", counted)
-    report = crosscheck(tree, payoff, priors, solution=solution)
+    report, calls = count_steps(
+        monkeypatch, lambda: crosscheck(tree, payoff, priors, solution=solution)
+    )
     assert report.max_deviation < 1e-9
     assert 0 < calls < triple_loop / 10, (calls, triple_loop)

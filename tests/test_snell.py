@@ -361,6 +361,20 @@ class TestValueIdentities:
         assert report.passed
         assert report.check("strict_value_tower_with_fixed_prior").passed
 
+    def test_zero_ratio_components_in_closure_mode(self, tt4):
+        # extreme 0 at r gives d zero mass, so the checks at d must not
+        # condition on a measure built from the root
+        priors = PriorSet.from_node_extremes(
+            {n: [(2.0, 0.0), (0.0, 2.0)] for n in ("r", "u", "d")}
+        )
+        sol = solve(tt4.tree, tt4.payoff, priors)
+        report = verify_value_identities(tt4.tree, tt4.payoff, priors, sol)
+        assert report.passed
+        for check in report.checks:
+            if check.gating:
+                assert check.worst_deviation == 0.0, check
+        assert crosscheck(tt4.tree, tt4.payoff, priors, sol).max_deviation == 0.0
+
 
 class TestStepOneIdentity:
     def test_value_equals_best_continuation(self, tt1, tt3, tt4):
