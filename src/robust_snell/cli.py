@@ -6,18 +6,19 @@ printed with 17 significant digits so results round-trip exactly; identical
 configs produce byte-identical outputs.
 
 Exit codes: 0 success, 2 invalid configuration (a value that is missing,
-of the wrong type or not finite, or a result too large to be finite),
-3 enumeration size guard exceeded, 4 unattained supremum in equivalent mode.
+of the wrong type or not finite, an evaluation node no model of the class
+charges, or a result too large to be finite), 3 enumeration size guard
+exceeded, 4 unattained supremum in equivalent mode.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -34,6 +35,7 @@ from .errors import (
     RobustSnellError,
     SizeGuardError,
     UnattainedSupremumError,
+    UndefinedConditionalError,
 )
 from .filtration import AdaptedFamily, EventTree, NodeRecord, validate_tree
 from .oracle import crosscheck
@@ -76,7 +78,7 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     """Parsed and validated run configuration."""
 
@@ -391,32 +393,31 @@ def parse_config(path: str | Path) -> RunConfig:
 # -- commands -----------------------------------------------------------
 
 
-def _rule_stop_list(tree: EventTree, rule) -> list[str]:
-    cut = rule.cut(tree)
+def _rule_stop_list(tree: EventTree, cut: frozenset[str]) -> list[str]:
     return [n for n in tree.nodes() if n in cut]
 
 
-def _solve_columns(cfg: RunConfig, solution, rule_star, z_star):
+def _solve_columns(cfg: RunConfig, solution, cut_star, z_star):
+    """The engine's own mappings as CSV columns; ``cut_star`` is u*'s cut."""
     tree = cfg.tree
-    columns: dict[str, dict[str, object]] = {
-        "Y": dict(cfg.payoff.items()),
-        "R": dict(solution.R.items()),
-        "R_plus": dict(solution.R_plus.items()),
+    columns: dict[str, Mapping[str, object]] = {
+        "Y": cfg.payoff.values,
+        "R": solution.R.values,
+        "R_plus": solution.R_plus.values,
         "stop": {n: (n in solution.stop_region) for n in tree.nodes()},
-        "argmax_extreme": dict(solution.argmax_extreme),
+        "argmax_extreme": solution.argmax_extreme,
     }
-    if rule_star is not None:
-        cut = rule_star.cut(tree)
-        reach = set(tree.subtree(cfg.v))
-        columns["u_star_stop"] = {n: (n in cut) for n in tree.nodes() if n in reach}
+    if cut_star is not None:
+        columns["u_star_stop"] = {n: (n in cut_star) for n in tree.subtree(cfg.v)}
     if z_star is not None:
-        columns["z_star"] = dict(z_star.z)
+        columns["z_star"] = z_star.z
     return columns
 
 
 def cmd_solve(cfg: RunConfig, outdir: Path) -> int:
     solution = solve(cfg.tree, cfg.payoff, cfg.priors, tol=cfg.tolerance)
     rule_star = u_star(solution, cfg.payoff, cfg.v)
+    cut_star = rule_star.cut(cfg.tree)
     z_star = extract_optimal_prior(solution, cfg.tree, cfg.priors, cfg.v)
     certificate = check_optimality_certificate(
         cfg.tree, cfg.payoff, cfg.priors, rule_star, z_star, tol=cfg.tolerance,
@@ -424,8 +425,8 @@ def cmd_solve(cfg: RunConfig, outdir: Path) -> int:
     )
     alpha_stops = {}
     for a in cfg.alphas:
-        rule = u_alpha(solution, cfg.payoff, cfg.v, a)
-        alpha_stops[_fmt(a)] = _rule_stop_list(cfg.tree, rule)
+        cut = u_alpha(solution, cfg.payoff, cfg.v, a).cut(cfg.tree)
+        alpha_stops[_fmt(a)] = _rule_stop_list(cfg.tree, cut)
     summary = {
         "command": "solve",
         "seed": cfg.seed,
@@ -436,17 +437,11 @@ def cmd_solve(cfg: RunConfig, outdir: Path) -> int:
         "R_v": solution.R[cfg.v],
         "R_plus_v": solution.R_plus[cfg.v],
         "attained": solution.attained,
-        "U_star_stops": _rule_stop_list(cfg.tree, rule_star),
+        "U_star_stops": _rule_stop_list(cfg.tree, cut_star),
         "u_alpha_stops": alpha_stops,
-        "certificate": {
-            "optimal": certificate.optimal,
-            "cond1": certificate.cond1,
-            "cond2": certificate.cond2,
-            "value": certificate.value,
-            "value_target": certificate.value_target,
-        },
+        "certificate": dataclasses.asdict(certificate),
     }
-    columns = _solve_columns(cfg, solution, rule_star, z_star)
+    columns = _solve_columns(cfg, solution, cut_star, z_star)
     _write_outputs(outdir, cfg.tree, summary, columns)
     return 0
 
@@ -486,11 +481,11 @@ def cmd_decompose(cfg: RunConfig, outdir: Path) -> int:
         "scaling_closed": diag.premise.scaling_closed_all,
         "flat_off": flat,
     }
-    columns = _solve_columns(cfg, solution, rule_star, None)
-    columns["M"] = dict(decomp.M.items())
-    columns["C"] = dict(decomp.C.items())
-    columns["K"] = dict(decomp.K.items())
-    columns["A_q"] = dict(decomp.A_q.items())
+    columns = _solve_columns(cfg, solution, rule_star.cut(cfg.tree), None)
+    columns["M"] = decomp.M.values
+    columns["C"] = decomp.C.values
+    columns["K"] = decomp.K.values
+    columns["A_q"] = decomp.A_q.values
     _write_outputs(outdir, cfg.tree, summary, columns)
     return 0
 
@@ -499,7 +494,7 @@ def cmd_price(cfg: RunConfig, outdir: Path) -> int:
     if cfg.crr is None:
         raise ConfigError("the price command needs a crr block")
     solution = solve(cfg.tree, cfg.payoff, cfg.priors, tol=cfg.tolerance)
-    rule_star = u_star(solution, cfg.payoff, cfg.v)
+    cut_star = u_star(solution, cfg.payoff, cfg.v).cut(cfg.tree)
     z_star = extract_optimal_prior(solution, cfg.tree, cfg.priors, cfg.v)
     result = price_from_solution(cfg.crr, cfg.tree, cfg.payoff, cfg.priors, solution)
     summary = {
@@ -511,7 +506,7 @@ def cmd_price(cfg: RunConfig, outdir: Path) -> int:
         "optimal_prior_summary": result.node_up_probability,
         "attained": solution.attained,
     }
-    columns = _solve_columns(cfg, solution, rule_star, z_star)
+    columns = _solve_columns(cfg, solution, cut_star, z_star)
     _write_outputs(outdir, cfg.tree, summary, columns)
     return 0
 
@@ -531,6 +526,7 @@ _CONFIG_ERRORS = (
     InvalidParamsError,
     InvalidRuleError,
     NotMeasurableError,
+    UndefinedConditionalError,
 )
 
 

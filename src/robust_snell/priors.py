@@ -112,11 +112,11 @@ def _violations(tree: EventTree, priors: PriorSet) -> list[tuple[str, str]]:
 
     if priors.mode not in (MODE_CLOSURE, MODE_EQUIVALENT):
         bad(f"unknown mode {priors.mode!r}")
-    decision = set(tree.decision_nodes(tree.root))
+    decision = dict.fromkeys(tree.decision_nodes(tree.root))
     for n in priors.extreme_points:
         if n not in decision:
             bad(f"extreme points given for non-decision node {n}")
-    for n in tree.decision_nodes(tree.root):
+    for n in decision:
         if n not in priors.extreme_points or not priors.extreme_points[n]:
             bad(f"node {n}: no extreme points")
             continue

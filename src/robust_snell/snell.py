@@ -22,6 +22,7 @@ from .errors import (
     InvalidPriorSetError,
     InvalidTreeError,
     UnattainedSupremumError,
+    UndefinedConditionalError,
 )
 from .filtration import (
     AdaptedFamily,
@@ -60,6 +61,21 @@ TIE_TOL = 1e-12
 
 def _close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def _covers(r: float, y: float, tol: float, alpha: float = 1.0) -> bool:
+    """Whether the reward ``y`` covers the fraction ``alpha`` of the value
+    ``r``; for r >= y >= 0 and alpha = 1, exactly ``_close(r, y, tol)``."""
+    return alpha * r - y <= tol * max(1.0, abs(r))
+
+
+def _maximizers(
+    extremes: Sequence[tuple[float, ...]], values: Sequence[float]
+) -> list[tuple[float, ...]]:
+    """The extremes whose continuation value ties for the maximum."""
+    best = max(values)
+    tie_tol = TIE_TOL * max(1.0, abs(best))
+    return [d for d, v in zip(extremes, values) if v >= best - tie_tol]
 
 
 @dataclass(frozen=True)
@@ -116,24 +132,16 @@ def solve(
         extremes = priors.extremes(n)
         values = [step(q, d, child_values) for d in extremes]
         best = max(values)
-        best_idx = values.index(best)
         R_plus[n] = best
         R[n] = max(payoff[n], best)
-        argmax[n] = best_idx
-        if priors.mode == MODE_CLOSURE:
-            attained_at[n] = True
-        else:
-            tie_tol = TIE_TOL * max(1.0, abs(best))
-            maximizers = [d for d, v in zip(extremes, values) if v >= best - tie_tol]
-            # the maximizing face contains a strictly positive ratio iff every
-            # coordinate is positive on at least one maximizer
-            attained_at[n] = all(
-                any(d[i] > 0 for d in maximizers) for i in range(len(children))
-            )
+        argmax[n] = values.index(best)
+        # in equivalent mode, the maximizing face contains a strictly positive
+        # ratio iff every coordinate is positive on at least one maximizer
+        attained_at[n] = priors.mode == MODE_CLOSURE or all(
+            any(x > 0 for x in column) for column in zip(*_maximizers(extremes, values))
+        )
 
-    stop_region = frozenset(
-        n for n in tree.nodes() if _close(R[n], payoff[n], tol)
-    )
+    stop_region = frozenset(n for n in tree.nodes() if _covers(R[n], payoff[n], tol))
     return SnellSolution(
         tree=tree,
         R=AdaptedFamily(R),
@@ -160,25 +168,24 @@ def gamma(
 def u_alpha(
     solution: SnellSolution, payoff: AdaptedFamily, v: str, alpha: float
 ) -> StoppingRule:
-    """First time the reward covers the fraction ``alpha`` of the value.
+    """First time at or after ``v`` that the reward covers the fraction
+    ``alpha`` of the value: alpha * R - Y <= tol * max(1, |R|).
 
-    With alpha = 1 this is the candidate optimal time: the first entry into
-    the region where the value equals the reward.
+    With alpha = 1 this is the test ``solve`` decides its stop region by, so
+    the rule is the candidate optimal time: the first entry into
+    ``solution.stop_region``.
     """
     if not 0.0 < alpha <= 1.0:
         raise InvalidParamsError(f"alpha {alpha:g} outside (0, 1]")
-    tree = solution.tree
-    tol = solution.tol
-
-    def reward_covers(n: str) -> bool:
-        r = solution.R[n]
-        return alpha * r <= payoff[n] + tol * max(1.0, abs(r))
-
-    return first_entry_rule(tree, reward_covers, v)
+    R, tol = solution.R, solution.tol
+    return first_entry_rule(
+        solution.tree, lambda n: _covers(R[n], payoff[n], tol, alpha), v
+    )
 
 
 def u_star(solution: SnellSolution, payoff: AdaptedFamily, v: str) -> StoppingRule:
-    """First entry after ``v`` into the region where the value equals the reward."""
+    """First entry at or after ``v`` into ``solution.stop_region``, the
+    region where the value equals the reward."""
     return u_alpha(solution, payoff, v, 1.0)
 
 
@@ -187,10 +194,16 @@ def extract_optimal_prior(
 ) -> DensityProcess:
     """A density process attaining the value at ``v`` along the optimal time.
 
-    Chooses the recorded maximizing extreme wherever the optimal time keeps
-    going, and extreme 0 elsewhere.  In equivalent mode, ties are mixed
-    uniformly so the selected ratios stay strictly positive whenever the
-    supremum is attained at all.
+    Where the optimal time from ``v`` keeps going (the nodes it reaches
+    outside ``solution.stop_region`` and before the horizon) the ratio is the
+    recorded maximizing extreme; in equivalent mode, the uniform mixture of
+    the tied maximizers, so the ratios stay strictly positive whenever the
+    supremum is attained at all.  On the strict ancestors of ``v`` it is the
+    first extreme that charges the path to ``v``, and extreme 0 elsewhere.
+
+    Raises UndefinedConditionalError, naming ``v`` and the ancestor, when no
+    extreme at some ancestor charges the path: then no model of the class
+    charges ``v``.
     """
     if not solution.attained:
         bad = [n for n, ok in solution.attained_at.items() if not ok]
@@ -199,30 +212,40 @@ def extract_optimal_prior(
             f"sup value at {v!r} is {solution.R[v]:.17g}",
             supremum=solution.R[v],
         )
-    # payoff only matters through the stop region already recorded in the
-    # solution, so the optimal-time walk can reuse it directly
-    rule = first_entry_rule(tree, lambda n: n in solution.stop_region, v)
-    continuation = rule.continuation_region(tree)
-    selection: dict[str, object] = {}
-    for n in tree.decision_nodes(tree.root):
-        if n not in continuation:
-            selection[n] = 0
-            continue
-        if priors.mode == MODE_CLOSURE:
-            selection[n] = solution.argmax_extreme[n]
-        else:
-            extremes = priors.extremes(n)
-            q = tree.q_vector(n)
-            child_values = [solution.R[c] for c in tree.children(n)]
-            values = [step(q, d, child_values) for d in extremes]
-            best = max(values)
-            tie_tol = TIE_TOL * max(1.0, abs(best))
-            winners = [i for i, val in enumerate(values) if val >= best - tie_tol]
-            weight = 1.0 / len(winners)
-            selection[n] = tuple(
-                weight if i in winners else 0.0 for i in range(len(extremes))
+    # node -> the extremes mixed uniformly there
+    chosen: dict[str, Sequence[tuple[float, ...]]] = {}
+    n = v
+    while (parent := tree.parent(n)) is not None:
+        i = tree.children(parent).index(n)
+        chosen[parent] = [d for d in priors.extremes(parent) if d[i] > 0][:1]
+        if not chosen[parent]:
+            raise UndefinedConditionalError(
+                f"no model of the class charges evaluation node {v!r}: "
+                f"no extreme at its ancestor {parent!r} charges the path to it"
             )
-    return density_process(tree, priors, selection)
+        n = parent
+    stack = [v]
+    while stack:
+        n = stack.pop()
+        if n in solution.stop_region or tree.is_terminal(n):
+            continue
+        extremes = priors.extremes(n)
+        children = tree.children(n)
+        if priors.mode == MODE_CLOSURE:
+            chosen[n] = [extremes[solution.argmax_extreme[n]]]
+        else:
+            q = tree.q_vector(n)
+            child_values = [solution.R[c] for c in children]
+            values = [step(q, d, child_values) for d in extremes]
+            chosen[n] = _maximizers(extremes, values)
+        stack.extend(children)
+    ratios = {}
+    for n in solution.argmax_extreme:
+        ds = chosen.get(n) or priors.extremes(n)[:1]
+        w = 1.0 / len(ds)
+        # summed from 0, so a -0.0 component comes out as 0.0
+        ratios[n] = tuple(sum(w * x for x in column) for column in zip(*ds))
+    return DensityProcess.from_ratios(tree, ratios)
 
 
 @dataclass(frozen=True)
@@ -299,7 +322,7 @@ def check_optimality_certificate(
     R = solution.R
     walk = rule.walk(tree)
     cond1 = all(
-        process.z.get(s, 0.0) <= 0 or _close(R[s], payoff[s], tol) for s in walk.cut
+        process.z.get(s, 0.0) <= 0 or _covers(R[s], payoff[s], tol) for s in walk.cut
     )
     cond2 = all(
         process.z.get(n, 0.0) <= 0

@@ -364,3 +364,73 @@ class TestWriteNodesCsv:
         with pytest.raises(NonFiniteValueError, match="column 'R' is inf at node 'u'"):
             write_nodes_csv(tmp_path / "out", tt1.tree, columns)
         assert not (tmp_path / "out").exists()
+
+
+def corner_payload(name, v):
+    """A fixture whose extreme j at every decision node is 1/q_j on child j
+    and 0 elsewhere, evaluated at ``v``."""
+    payload = json.loads(fixtures.config_path(name).read_text())
+    q = {nd["id"]: nd.get("q") for nd in payload["tree"]["nodes"]}
+    children = {}
+    for nd in payload["tree"]["nodes"]:
+        if nd.get("parent") is not None:
+            children.setdefault(nd["parent"], []).append(nd["id"])
+    payload["priors"]["node_extremes"] = {
+        n: [[1.0 / q[c] if c == cj else 0.0 for c in cs] for cj in cs]
+        for n, cs in children.items()
+    }
+    payload["v"] = v
+    return payload
+
+
+class TestEvaluationNodeMass:
+    """z* charges v through the first extreme above it that charges the path;
+    extreme 0 there would leave v without mass and the certificate undefined."""
+
+    @pytest.mark.parametrize(
+        "name,v",
+        [("tt1", "d"), ("tt3", "b"), ("tt3", "c"), ("tt4", "d"), ("tt4", "ud"),
+         ("tt4", "du"), ("tt4", "dd")],
+    )
+    def test_corner_extremes_certify(self, tmp_path, name, v):
+        config = write_config(tmp_path, corner_payload(name, v))
+        code, outdir = run_command(tmp_path, "solve", config)
+        assert code == 0
+        assert read_summary(outdir)["certificate"]["optimal"] is True
+        rows = {row["node_id"]: row for row in read_nodes(outdir)}
+        assert float(rows[v]["z_star"]) > 0
+
+    def test_no_model_charging_v_exits_2(self, tmp_path, capsys):
+        payload = tt1_with(set_extremes([[2.0, 0.0]]))
+        payload["v"] = "d"
+        code, outdir = run_command(tmp_path, "solve", write_config(tmp_path, payload))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("robust-snell: invalid configuration:")
+        assert "evaluation node 'd'" in err
+        assert not outdir.exists()
+
+
+def test_stop_and_u_star_stop_agree_at_the_tolerance_edge(tmp_path):
+    # R(r) - Y(r) = c is just above tol * R(r) = c * (1 - 1e-9): r is not a
+    # stop node, so u* must not stop there either
+    c = 2.0**-30
+    payload = {
+        "tree": {
+            "horizon": 1,
+            "nodes": [
+                {"id": "r", "time": 0, "Y": 1.0},
+                {"id": "u", "time": 1, "parent": "r", "q": 0.5, "Y": 1.0 + c},
+                {"id": "d", "time": 1, "parent": "r", "q": 0.5, "Y": 1.0 + c},
+            ],
+        },
+        "priors": {"node_extremes": {"r": [[1.0, 1.0]]}},
+        "tolerance": c / (1 + c) * (1 - 1e-9),
+    }
+    code, outdir = run_command(tmp_path, "solve", write_config(tmp_path, payload))
+    assert code == 0
+    for row in read_nodes(outdir):
+        assert row["stop"] == row["u_star_stop"], row
+    summary = read_summary(outdir)
+    assert summary["U_star_stops"] == ["u", "d"]
+    assert summary["certificate"]["optimal"] is True

@@ -3,9 +3,9 @@
 Every config either runs (exit 0) with strictly finite outputs, or is refused
 with exit 2, 3 or 4; no exception escapes ``cli.run``.  Mutations replace a
 value (wrong types, NaN, ±inf, finite values near the largest double,
-negative numbers, unknown node ids), delete a key or list entry, append a
-list entry (wrong arity) or rename an object key (an unknown node id or
-field).
+negative numbers, known and unknown node ids), delete a key or list entry,
+append a list entry (wrong arity) or rename an object key (an unknown node
+id or field).
 """
 
 import copy
@@ -25,6 +25,11 @@ BASES = {
     name: json.loads(fixtures.config_path(name).read_text())
     for name in ("tt1", "tt3", "tt4")
 }
+# extreme j at every decision node is 1/q_j on child j and 0 elsewhere
+BASES["tt4corner"] = copy.deepcopy(BASES["tt4"])
+BASES["tt4corner"]["priors"]["node_extremes"] = {
+    n: [[2.0, 0.0], [0.0, 2.0]] for n in ("r", "u", "d")
+}
 BASES["crr3"] = {
     "crr": {
         "S0": 4.0, "up": 2.0, "down": 0.5, "steps": 3, "rate": 0.0, "K": 5.0,
@@ -35,7 +40,7 @@ BASES["crr3"] = {
 
 ODD_VALUES = [
     math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 1e-308, -1.0, 0.0, 2,
-    True, None, "x", "zz", "r", [], [1.0], {}, {"a": 1},
+    True, None, "x", "zz", "r", "u", "d", "ud", "b", "c", [], [1.0], {}, {"a": 1},
 ]
 
 
@@ -98,6 +103,9 @@ OVERFLOW = (
     ],
 )
 
+# extreme 0 at r leaves d without mass; z* must charge it through extreme 1
+NULL_MASS_V = ("tt4corner", [("set", ("v",), "d")])
+
 ID_COLUMNS = {"node_id", "parent_id"}
 
 
@@ -107,6 +115,7 @@ def reject_constant(name):
 
 @settings(max_examples=120, deadline=None)
 @example(case=OVERFLOW)
+@example(case=NULL_MASS_V)
 @given(case=cases())
 def test_every_config_exits_cleanly(case):
     name, mutations = case

@@ -14,19 +14,24 @@ from robust_snell import (
     InvalidParamsError,
     InvalidPriorSetError,
     InvalidTreeError,
+    NodeRecord,
     PriorSet,
     UnattainedSupremumError,
+    UndefinedConditionalError,
     brute_force_value,
     build_crr_barrier_tree,
     check_optimality_certificate,
     check_supermartingale_family,
     crosscheck,
     density_process,
+    drift_ambiguity_priors,
     enumerate_rules,
     extract_optimal_prior,
     extreme_selections,
     first_entry_rule,
+    fixtures,
     gamma,
+    knockin_payoff,
     random_instance,
     solve,
     stop_at_time_rule,
@@ -34,6 +39,10 @@ from robust_snell import (
     u_star,
     verify_value_identities,
 )
+from robust_snell import filtration, snell
+from robust_snell import priors as priors_module
+from robust_snell.filtration import step
+from robust_snell.snell import DEFAULT_TOL
 
 
 def classical_snell(tree, payoff):
@@ -430,3 +439,148 @@ def test_validators_reject_non_finite(tt1, where, x):
         for ambiguity in [(x, 0.6), (0.4, x)]:
             with pytest.raises(InvalidParamsError, match="ambiguity"):
                 build_crr_barrier_tree(CrrParams(**CRR_FIELDS, ambiguity=ambiguity))
+
+
+def reference_optimal_prior(solution, tree, priors, v):
+    """The earlier route to z*: u* rebuilt as a first-entry rule, a selection
+    over every decision node, then ``density_process``."""
+    if not solution.attained:
+        raise UnattainedSupremumError("unattained", supremum=solution.R[v])
+    rule = first_entry_rule(tree, lambda n: n in solution.stop_region, v)
+    continuation = rule.continuation_region(tree)
+    selection = {}
+    for n in tree.decision_nodes(tree.root):
+        if n not in continuation:
+            selection[n] = 0
+        elif priors.mode == "closure":
+            selection[n] = solution.argmax_extreme[n]
+        else:
+            extremes = priors.extremes(n)
+            child_values = [solution.R[c] for c in tree.children(n)]
+            values = [step(tree.q_vector(n), d, child_values) for d in extremes]
+            best = max(values)
+            tie_tol = snell.TIE_TOL * max(1.0, abs(best))
+            winners = [i for i, val in enumerate(values) if val >= best - tie_tol]
+            weight = 1.0 / len(winners)
+            selection[n] = tuple(
+                weight if i in winners else 0.0 for i in range(len(extremes))
+            )
+    return density_process(tree, priors, selection)
+
+
+def optimal_pair_models():
+    """(name, tree, payoff, priors): the fixtures in both modes, tt1 with a
+    -0.0 ratio component, seeded random instances and the CRR put."""
+    for name in ("tt1", "tt3", "tt4"):
+        cfg = fixtures.load(name)
+        for mode in ("closure", "equivalent"):
+            priors = PriorSet(extreme_points=cfg.priors.extreme_points, mode=mode)
+            yield f"{name}-{mode}", cfg.tree, cfg.payoff, priors
+    tt1 = fixtures.load("tt1")
+    negative_zero = PriorSet.from_node_extremes({"r": [[2.0, -0.0], [0.0, 2.0]]})
+    yield "tt1-negative-zero", tt1.tree, tt1.payoff, negative_zero
+    for seed in range(40):
+        for single in (False, True):
+            yield (f"random{seed}-{single}", *random_instance(seed, single_prior=single))
+    for steps in range(2, 9):
+        params = CrrParams(**{**CRR_FIELDS, "steps": steps}, ambiguity=(0.4, 0.6))
+        tree = build_crr_barrier_tree(params)
+        for mode in ("closure", "equivalent"):
+            priors = drift_ambiguity_priors(tree, params, mode=mode)
+            yield f"crr{steps}-{mode}", tree, knockin_payoff(tree, params), priors
+
+
+def coverage_edge_model():
+    """Y(u) = Y(d) = 1 + c exceeds Y(r) = 1 by slightly more than the
+    tolerance allows, so r is outside the stop region."""
+    c = 2.0**-30
+    tree = EventTree(horizon=1, records=[
+        NodeRecord(id="r", time=0),
+        NodeRecord(id="u", time=1, parent="r", q=0.5),
+        NodeRecord(id="d", time=1, parent="r", q=0.5),
+    ])
+    payoff = AdaptedFamily({"r": 1.0, "u": 1.0 + c, "d": 1.0 + c})
+    priors = PriorSet.from_node_extremes({"r": [[1.0, 1.0]]})
+    return tree, payoff, priors, c / (1 + c) * (1 - 1e-9)
+
+
+def hexed(process):
+    ratio = {n: tuple(x.hex() for x in r) for n, r in process.ratio.items()}
+    return ratio, {n: x.hex() for n, x in process.z.items()}
+
+
+class TestOptimalPairFromStopRegion:
+    def test_z_star_matches_reference_bit_for_bit(self):
+        compared = 0
+        for name, tree, payoff, priors in optimal_pair_models():
+            sol = solve(tree, payoff, priors)
+            for v in tree.nodes():
+                try:
+                    expected = reference_optimal_prior(sol, tree, priors, v)
+                except UnattainedSupremumError:
+                    with pytest.raises(UnattainedSupremumError):
+                        extract_optimal_prior(sol, tree, priors, v)
+                    continue
+                got = extract_optimal_prior(sol, tree, priors, v)
+                if expected.z[v] == 0.0:
+                    # the earlier route left v without mass above it
+                    assert got.z[v] > 0.0, (name, v)
+                    continue
+                assert hexed(got) == hexed(expected), (name, v)
+                compared += 1
+        assert compared > 2000
+
+    def test_negative_zero_component_comes_out_as_zero(self, tt1):
+        priors = PriorSet.from_node_extremes({"r": [[2.0, -0.0], [0.0, 2.0]]})
+        sol = solve(tt1.tree, tt1.payoff, priors)
+        z = extract_optimal_prior(sol, tt1.tree, priors, "r")
+        assert z.ratio["r"][1].hex() == "0x0.0p+0"
+        assert z.z["d"].hex() == "0x0.0p+0"
+
+    def test_u_star_is_first_entry_into_stop_region(self):
+        tree, payoff, priors, tol = coverage_edge_model()
+        models = [("edge", tree, payoff, priors, tol)]
+        models += [(*model, DEFAULT_TOL) for model in optimal_pair_models()]
+        for name, tree, payoff, priors, tol in models:
+            sol = solve(tree, payoff, priors, tol=tol)
+            for v in tree.nodes():
+                entry = first_entry_rule(tree, lambda n: n in sol.stop_region, v)
+                assert u_alpha(sol, payoff, v, 1.0).cut(tree) == entry.cut(tree), (name, v)
+
+    def test_coverage_edge_stops_where_the_stop_region_does(self):
+        tree, payoff, priors, tol = coverage_edge_model()
+        sol = solve(tree, payoff, priors, tol=tol)
+        assert sol.stop_region == frozenset({"u", "d"})
+        rule = u_star(sol, payoff, "r")
+        assert rule.cut(tree) == frozenset({"u", "d"})
+        z = extract_optimal_prior(sol, tree, priors, "r")
+        assert check_optimality_certificate(tree, payoff, priors, rule, z, tol=tol).optimal
+
+    @pytest.mark.parametrize("mode", ["closure", "equivalent"])
+    def test_extract_builds_no_selection(self, tt4, monkeypatch, mode):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, attr in (
+            (snell, "density_process"),
+            (priors_module, "density_process"),
+            (snell, "first_entry_rule"),
+            (filtration, "first_entry_rule"),
+        ):
+            monkeypatch.setattr(module, attr, counted(getattr(module, attr)))
+        priors = PriorSet(extreme_points=tt4.priors.extreme_points, mode=mode)
+        sol = solve(tt4.tree, tt4.payoff, priors)
+        for v in tt4.tree.nodes():
+            extract_optimal_prior(sol, tt4.tree, priors, v)
+        assert calls == []
+
+    def test_no_model_charging_the_evaluation_node_is_named(self, tt1):
+        priors = PriorSet.from_node_extremes({"r": [[2.0, 0.0]]})
+        sol = solve(tt1.tree, tt1.payoff, priors)
+        with pytest.raises(UndefinedConditionalError, match="'d'.*'r'"):
+            extract_optimal_prior(sol, tt1.tree, priors, "d")
