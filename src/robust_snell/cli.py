@@ -85,7 +85,6 @@ class RunConfig:
     tree: EventTree
     payoff: AdaptedFamily
     priors: PriorSet
-    mode: str
     alphas: tuple[float, ...]
     v: str
     tolerance: float
@@ -219,6 +218,15 @@ def _number(value: object, what: str) -> float:
     return x
 
 
+def _integer(value: object, what: str) -> int:
+    """``int(value)``, but a ConfigError naming ``what`` if ``value`` is a
+    float with a fractional part (which ``int`` would truncate), NaN or an
+    infinity."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{what}: {value!r} is not an integer")
+    return int(value)
+
+
 def _object(value: object, what: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise ConfigError(f"{what} must be an object, got {value!r}")
@@ -233,7 +241,7 @@ def _list(value: object, what: str) -> list:
 
 def _parse_tree_block(block: Mapping) -> tuple[EventTree, AdaptedFamily]:
     try:
-        horizon = int(block["horizon"])
+        horizon = _integer(block["horizon"], "tree horizon")
         node_dicts = _list(block["nodes"], "tree nodes")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"tree block missing horizon or nodes: {exc}") from exc
@@ -242,7 +250,7 @@ def _parse_tree_block(block: Mapping) -> tuple[EventTree, AdaptedFamily]:
     for nd in node_dicts:
         try:
             node_id = str(nd["id"])
-            time = int(nd["time"])
+            time = _integer(nd["time"], f"node {node_id!r} time")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"node entry missing id or time: {nd!r}") from exc
         if "Y" not in nd:
@@ -335,7 +343,7 @@ def parse_config(path: str | Path) -> RunConfig:
     if tolerance <= 0:
         raise ConfigError(f"tolerance {tolerance:g} must be positive")
     try:
-        seed = int(raw.get("seed", 0))
+        seed = _integer(raw.get("seed", 0), "seed")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"seed: {exc}") from exc
 
@@ -352,7 +360,7 @@ def parse_config(path: str | Path) -> RunConfig:
                 S0=_number(block["S0"], "crr S0"),
                 up=_number(block["up"], "crr up"),
                 down=_number(block["down"], "crr down"),
-                steps=int(block["steps"]),
+                steps=_integer(block["steps"], "bad crr block: steps"),
                 rate=_number(block.get("rate", 0.0), "crr rate"),
                 K=_number(block["K"], "crr K"),
                 H=_number(block["H"], "crr H"),
@@ -381,7 +389,6 @@ def parse_config(path: str | Path) -> RunConfig:
         tree=tree,
         payoff=payoff,
         priors=priors,
-        mode=mode,
         alphas=alphas,
         v=v,
         tolerance=tolerance,
@@ -423,21 +430,25 @@ def cmd_solve(cfg: RunConfig, outdir: Path) -> int:
         cfg.tree, cfg.payoff, cfg.priors, rule_star, z_star, tol=cfg.tolerance,
         solution=solution,
     )
+    star_stops = _rule_stop_list(cfg.tree, cut_star)
     alpha_stops = {}
     for a in cfg.alphas:
-        cut = u_alpha(solution, cfg.payoff, cfg.v, a).cut(cfg.tree)
-        alpha_stops[_fmt(a)] = _rule_stop_list(cfg.tree, cut)
+        if a == 1.0:  # u_alpha at alpha = 1 is u*
+            alpha_stops[_fmt(a)] = star_stops
+        else:
+            cut = u_alpha(solution, cfg.payoff, cfg.v, a).cut(cfg.tree)
+            alpha_stops[_fmt(a)] = _rule_stop_list(cfg.tree, cut)
     summary = {
         "command": "solve",
         "seed": cfg.seed,
-        "mode": cfg.mode,
+        "mode": cfg.priors.mode,
         "v": cfg.v,
         "R_root": solution.R[cfg.tree.root],
         "R_plus_root": solution.R_plus[cfg.tree.root],
         "R_v": solution.R[cfg.v],
         "R_plus_v": solution.R_plus[cfg.v],
         "attained": solution.attained,
-        "U_star_stops": _rule_stop_list(cfg.tree, cut_star),
+        "U_star_stops": star_stops,
         "u_alpha_stops": alpha_stops,
         "certificate": dataclasses.asdict(certificate),
     }
@@ -452,7 +463,7 @@ def cmd_oracle(cfg: RunConfig, outdir: Path) -> int:
     summary = {
         "command": "oracle",
         "seed": cfg.seed,
-        "mode": cfg.mode,
+        "mode": cfg.priors.mode,
         "max_deviation": report.max_deviation,
         "max_deviation_R": report.max_deviation_R,
         "max_deviation_R_plus": report.max_deviation_R_plus,
@@ -472,7 +483,7 @@ def cmd_decompose(cfg: RunConfig, outdir: Path) -> int:
     summary = {
         "command": "decompose",
         "seed": cfg.seed,
-        "mode": cfg.mode,
+        "mode": cfg.priors.mode,
         "v": cfg.v,
         "X0": decomp.X0,
         "C_increasing": diag.C_increasing,
@@ -500,7 +511,7 @@ def cmd_price(cfg: RunConfig, outdir: Path) -> int:
     summary = {
         "command": "price",
         "seed": cfg.seed,
-        "mode": cfg.mode,
+        "mode": cfg.priors.mode,
         "H_S": result.hedging_price,
         "exercise_boundary": result.exercise_boundary,
         "optimal_prior_summary": result.node_up_probability,

@@ -31,7 +31,7 @@ MAX_DECISION_NODES = 24
 MAX_RULES = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRecord:
     """A single tree node.
 
@@ -53,7 +53,8 @@ class EventTree:
     Construction only requires parent links to resolve; all quantitative
     invariants (probabilities summing to one, leaves sitting at the horizon,
     consecutive times) are checked by :func:`validate_tree` so that invalid
-    trees can be diagnosed rather than rejected outright.
+    trees can be diagnosed rather than rejected outright.  Each node's child
+    ids are stored once, as a tuple, and handed out as is.
     """
 
     def __init__(self, horizon: int, records: Sequence[NodeRecord]):
@@ -71,7 +72,7 @@ class EventTree:
         if len(roots) != 1:
             raise InvalidTreeError(f"expected exactly one root, found {len(roots)}")
         self.root = roots[0]
-        self._children: dict[str, list[str]] = {r.id: [] for r in records}
+        self._children: dict[str, Sequence[str]] = {r.id: [] for r in records}
         for rec in records:
             if rec.parent is not None:
                 if rec.parent not in self._records:
@@ -79,6 +80,8 @@ class EventTree:
                         f"node {rec.id!r} references unknown parent {rec.parent!r}"
                     )
                 self._children[rec.parent].append(rec.id)
+        for n, kids in self._children.items():
+            self._children[n] = tuple(kids)  # leaves share ()
 
     # -- basic accessors -------------------------------------------------
 
@@ -102,8 +105,11 @@ class EventTree:
         return self.node(node_id).parent
 
     def children(self, node_id: str) -> tuple[str, ...]:
-        self.node(node_id)
-        return tuple(self._children[node_id])
+        """Child ids in construction order: the stored tuple, not a copy."""
+        try:
+            return self._children[node_id]
+        except KeyError:
+            raise InvalidTreeError(f"unknown node {node_id!r}") from None
 
     def edge_q(self, child_id: str) -> float:
         q = self.node(child_id).q

@@ -81,10 +81,10 @@ class PriorSet:
         extremes: Iterable[Iterable[float]],
         mode: str = MODE_CLOSURE,
     ) -> "PriorSet":
-        """The same extreme list at every non-terminal node."""
+        """One shared, read-only extreme list at every non-terminal node."""
         ds = [tuple(float(x) for x in d) for d in extremes]
         return cls(
-            extreme_points={n: list(ds) for n in tree.decision_nodes(tree.root)},
+            extreme_points=dict.fromkeys(tree.decision_nodes(tree.root), ds),
             mode=mode,
         )
 
@@ -183,9 +183,11 @@ class DensityProcess:
     def from_ratios(
         cls, tree: EventTree, ratio: Mapping[str, Sequence[float]]
     ) -> "DensityProcess":
+        """Cumulate ``ratio`` into z in one preorder walk from the root, so
+        each node's z is set before its children's."""
         ratios = {n: tuple(float(x) for x in r) for n, r in ratio.items()}
         z: dict[str, float] = {tree.root: 1.0}
-        for n in tree.nodes_by_time():
+        for n in tree.subtree(tree.root):
             if tree.is_terminal(n):
                 continue
             children = tree.children(n)

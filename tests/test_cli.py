@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from robust_snell import NonFiniteValueError, fixtures, solve
+from robust_snell import NonFiniteValueError, fixtures, solve, u_alpha
 from robust_snell.cli import CSV_COLUMNS, run, write_nodes_csv, write_summary
 
 
@@ -295,6 +295,11 @@ BAD_CONFIGS = {
     "crr-ambiguity-nan": (crr_with(ambiguity=[NAN, 0.75]), "crr ambiguity"),
     "crr-ambiguity-arity": (crr_with(ambiguity=[0.25, 0.5, 0.75]), "crr ambiguity"),
     "crr-steps-inf": (crr_with(steps=INF), "crr block"),
+    # non-integral floats in integer fields, which int() would truncate
+    "crr-steps-fraction": (crr_with(steps=2.9), "steps: 2.9"),
+    "horizon-fraction": (tt1_with(lambda p: p["tree"].update(horizon=1.5)), "horizon: 1.5"),
+    "time-fraction": (tt1_with(set_node("u", "time", 1.6)), "node 'u' time: 1.6"),
+    "seed-fraction": (tt1_with(lambda p: p.update(seed=1.7)), "seed: 1.7"),
 }
 
 
@@ -325,6 +330,57 @@ class TestBadValues:
         assert "non-finite result: summary field 'X0' is nan" in capsys.readouterr().err
         assert not (outdir / "summary.json").exists()
         assert not (outdir / "nodes.csv").exists()
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize(
+        "integral,exact",
+        [
+            (crr_with(steps=2.0), crr_with(steps=2)),
+            (dict(CRR_CONFIG, seed=3.0), dict(CRR_CONFIG, seed=3)),
+            (tt1_with(lambda p: p["tree"].update(horizon=1.0)), tt1_payload()),
+            (tt1_with(set_node("u", "time", 1.0)), tt1_payload()),
+        ],
+    )
+    def test_integral_floats_run_as_ints(self, tmp_path, integral, exact):
+        outputs = []
+        for name, payload in (("integral", integral), ("exact", exact)):
+            config = write_config(tmp_path, payload, f"{name}.json")
+            code, outdir = run_command(tmp_path, "solve", config, name)
+            assert code == 0
+            outputs.append(
+                [(outdir / f).read_bytes() for f in ("summary.json", "nodes.csv")]
+            )
+        assert outputs[0] == outputs[1]
+
+
+class TestAlphaStops:
+    @pytest.mark.parametrize("name", ["tt1", "tt3", "tt4"])
+    def test_alpha_one_is_read_off_u_star(self, tmp_path, monkeypatch, name):
+        from robust_snell import cli
+
+        alphas = [0.5, 0.8, 1.0]
+        payload = json.loads(fixtures.config_path(name).read_text())
+        payload["alphas"] = alphas
+        calls = []
+
+        def counted(solution, payoff, v, alpha):
+            calls.append(alpha)
+            return u_alpha(solution, payoff, v, alpha)
+
+        monkeypatch.setattr(cli, "u_alpha", counted)
+        code, outdir = run_command(tmp_path, "solve", write_config(tmp_path, payload))
+        assert code == 0
+        assert calls == [0.5, 0.8]
+        cfg = fixtures.load(name)
+        sol = solve(cfg.tree, cfg.payoff, cfg.priors, tol=cfg.tolerance)
+        expected = {}
+        for a in alphas:
+            cut = u_alpha(sol, cfg.payoff, cfg.v, a).cut(cfg.tree)
+            expected[format(a, ".17g")] = [n for n in cfg.tree.nodes() if n in cut]
+        summary = read_summary(outdir)
+        assert summary["u_alpha_stops"] == expected
+        assert summary["U_star_stops"] == expected["1"]
 
 
 class TestWriteSummary:

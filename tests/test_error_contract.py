@@ -39,7 +39,7 @@ BASES["crr3"] = {
 }
 
 ODD_VALUES = [
-    math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 1e-308, -1.0, 0.0, 2,
+    math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 1e-308, -1.0, 0.0, 2, 2.5,
     True, None, "x", "zz", "r", "u", "d", "ud", "b", "c", [], [1.0], {}, {"a": 1},
 ]
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from robust_snell import (
     EventTree,
     FloorMismatchError,
     InvalidFamilyError,
+    InvalidTreeError,
     NodeRecord,
     SizeGuardError,
+    build_crr_barrier_tree,
     count_rules,
     enumerate_rules,
     expected_value_q,
@@ -33,6 +36,35 @@ def two_leaf_tree(q_up=0.5, q_down=0.5):
             NodeRecord(id="d", time=1, parent="r", q=q_down),
         ],
     )
+
+
+class TestStoredFacts:
+    """The tree stores each node's facts once and hands them out as stored."""
+
+    @pytest.mark.parametrize("accessor", ["children", "time", "parent", "q_vector"])
+    def test_unknown_id_is_named(self, tt4, accessor):
+        with pytest.raises(InvalidTreeError, match="unknown node 'zz'"):
+            getattr(tt4.tree, accessor)("zz")
+
+    def test_children_is_the_stored_tuple(self, tt4):
+        tree = tt4.tree
+        for n in tree.nodes():
+            assert isinstance(tree.children(n), tuple)
+            assert tree.children(n) is tree.children(n)
+        for leaf in tree.leaves():
+            assert tree.children(leaf) == ()
+
+    def test_node_record_has_no_instance_dict(self):
+        assert not hasattr(NodeRecord(id="r", time=0), "__dict__")
+
+    def test_crr_tree_bytes_per_node(self, crr_put):
+        tracemalloc.start()
+        try:
+            tree = build_crr_barrier_tree(crr_put)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert size / len(tree.nodes()) <= 480
 
 
 class TestValidateTree:

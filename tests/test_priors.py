@@ -1,18 +1,25 @@
+import dataclasses
+import tracemalloc
+
 import pytest
 
 from robust_snell import (
     DensityProcess,
+    EventTree,
     InvalidSelectionError,
     NotMeasurableError,
     PriorSet,
     SizeGuardError,
     UndefinedConditionalError,
     bayes_conditional,
+    build_crr_barrier_tree,
     convex_combine,
     density_process,
+    drift_ambiguity_priors,
     expected_value_q,
     extreme_selections,
     paste,
+    random_instance,
     stop_at_time_rule,
     validate_density_process,
     validate_prior_set,
@@ -80,6 +87,76 @@ class TestDensityProcess:
         for entry in (True, 0.0, None, "ab", "01", [0.5, float("nan")], ["0.5", 0.5]):
             with pytest.raises(InvalidSelectionError):
                 density_process(tt1.tree, tt1.priors, {"r": entry})
+
+
+def time_sorted_z(tree, ratio):
+    """z as ``from_ratios`` computed it by sorting every node by time."""
+    ratios = {n: tuple(float(x) for x in r) for n, r in ratio.items()}
+    z = {tree.root: 1.0}
+    for n in tree.nodes_by_time():
+        if tree.is_terminal(n):
+            continue
+        for c, rc in zip(tree.children(n), ratios[n]):
+            z[c] = z[n] * rc
+    return ratios, z
+
+
+def instances(tt1, tt3, tt4, crr_put):
+    """(tree, priors) for the fixtures, 40 random trees and CRR at 2-8 steps."""
+    yield from ((f.tree, f.priors) for f in (tt1, tt3, tt4))
+    for seed in range(40):
+        tree, _, priors = random_instance(seed)
+        yield tree, priors
+    for steps in range(2, 9):
+        tree = build_crr_barrier_tree(dataclasses.replace(crr_put, steps=steps))
+        yield tree, drift_ambiguity_priors(tree, crr_put)
+
+
+class TestFromRatios:
+    def test_preorder_walk_matches_time_sorted_bits(self, tt1, tt3, tt4, crr_put):
+        for tree, priors in instances(tt1, tt3, tt4, crr_put):
+            selection = {
+                n: i % len(priors.extremes(n))
+                for i, n in enumerate(tree.decision_nodes(tree.root))
+            }
+            process = density_process(tree, priors, selection)
+            ratios, z = time_sorted_z(tree, process.ratio)
+            assert {n: v.hex() for n, v in process.z.items()} == {
+                n: v.hex() for n, v in z.items()
+            }
+            assert {n: [x.hex() for x in r] for n, r in process.ratio.items()} == {
+                n: [x.hex() for x in r] for n, r in ratios.items()
+            }
+
+    def test_never_sorts_by_time(self, tt4, monkeypatch):
+        calls = []
+        sort = EventTree.nodes_by_time
+
+        def counted(tree, *args, **kwargs):
+            calls.append(args)
+            return sort(tree, *args, **kwargs)
+
+        monkeypatch.setattr(EventTree, "nodes_by_time", counted)
+        DensityProcess.reference(tt4.tree)
+        density_process(tt4.tree, tt4.priors, {"r": 1, "d": (0.25, 0.75)})
+        assert calls == []
+
+
+class TestConstant:
+    def test_one_shared_list(self, tt4):
+        priors = PriorSet.constant(tt4.tree, [(1.5, 0.5), (0.5, 1.5)])
+        assert list(priors.extreme_points) == list(tt4.tree.decision_nodes("r"))
+        assert len({id(ds) for ds in priors.extreme_points.values()}) == 1
+
+    def test_crr_priors_bytes_per_decision_node(self, crr_put):
+        tree = build_crr_barrier_tree(crr_put)
+        tracemalloc.start()
+        try:
+            priors = drift_ambiguity_priors(tree, crr_put)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert size / len(priors.extreme_points) <= 50
 
 
 class TestPaste:
