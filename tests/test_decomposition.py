@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -239,7 +239,11 @@ def one_step(q, extremes):
 
 
 def _in_hull(point, extremes):
-    """Feasibility of expressing ``point`` as a convex combination of extremes."""
+    """Feasibility of expressing ``point`` as a convex combination of extremes.
+
+    HiGHS runs without presolve: with two extremes 1e-6 apart, presolve can
+    call the problem infeasible even when ``point`` is one of the extremes.
+    """
     E = np.asarray(extremes, dtype=float).T  # (k, n_ext)
     n_ext = E.shape[1]
     res = linprog(
@@ -248,6 +252,7 @@ def _in_hull(point, extremes):
         b_eq=np.concatenate([point, [1.0]]),
         bounds=[(0, None)] * n_ext,
         method="highs",
+        options={"presolve": False},
     )
     return bool(res.status == 0)
 
@@ -328,12 +333,26 @@ def star_nodes(draw):
     return q, extremes
 
 
+# a slice vertex that is one of the extremes, with another extreme 1e-6 away
+# in probability terms: HiGHS presolve called its hull LP infeasible
+PRESOLVE_CASE = (
+    [0.2] * 5,
+    [
+        [0.0, 0.0, 0.0, 4.999995000005001, 4.99999499992132e-06],
+        [-2.220446049250313e-16, -2.220446049250313e-16, 0.00030515715593537607, 0.0, 4.999694842844065],
+        [0.0, 0.0, -3.051758845629138e-10, 5.000000000305176, 0.0],
+        [1.6667005757427784, 1.6667005757427784, 1.6665988485144432, 0.0, -2.220446049250313e-16],
+    ],
+)
+
+
 class TestBinaryClosedForm:
     """The premise check decides the full slice without an LP: in closed form
     at binary nodes, by slice-vertex membership at larger ones."""
 
     @settings(max_examples=200, deadline=None)
     @given(node=star_nodes())
+    @example(node=PRESOLVE_CASE)
     def test_agrees_with_the_lp(self, node):
         q, extremes = node
         tree, priors = one_step(q, extremes)
