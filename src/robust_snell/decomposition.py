@@ -2,21 +2,18 @@
 
 The value family R splits as R = X0 + M - C where M is a martingale under
 every prior of the class simultaneously and C collects the remaining drift.
-Per node, the reference Doob increment of R is projected (in the reference
+``universal_decompose`` makes one parents-first pass over the decision nodes.
+At each, the reference Doob increment of R is projected (in the reference
 weighted inner product) onto the span of the one-step density increments
-{d - 1}; the projected part is absorbed into C, the orthogonal part forms M.
-C is increasing exactly when the class is rich enough for the projection to
-stay below the predictable drift; otherwise the failure is reported in the
-diagnostics rather than raised.
+{d - 1}; the projected part goes into C, the orthogonal part into M, and a
+decreasing C is reported rather than raised.  Basis and premise flags are
+computed once per distinct (q, extremes) polytope, inside that pass.
 
-Basis and projection are tuple arithmetic whose inner products all go
-through ``filtration.step``.  The premise check needs no LP either: the
-node's slice of admissible densities contains every extreme, and a vertex of
-a convex set lies in the hull of a subset only if it is one of the subset's
-points, so the hull of the extremes is the whole slice exactly when every
-slice vertex is an extreme.  The vertices come from small square systems
-solved by Gaussian elimination, so the package needs neither numpy nor
-scipy.
+The premise check needs no LP: the node's slice of admissible densities
+contains every extreme, and a vertex of a convex set lies in the hull of a
+subset only if it is one of the subset's points, so the hull is the slice
+exactly when every slice vertex is an extreme.  The vertices come from small
+square systems solved exactly in fractions: no numpy, no scipy.
 """
 
 from __future__ import annotations
@@ -110,6 +107,14 @@ def kw_project(
         raise NotASupermartingaleError(
             f"increment at node {node!r} has nonzero reference mean {mean:g}"
         )
+    return _project(q, increment, basis)
+
+
+def _project(
+    q: Sequence[float], increment: Sequence[float], basis: Sequence[Sequence[float]]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``kw_project`` without its mean guard, which the rounding of large
+    values trips on increments that have zero mean by construction."""
     k_part = tuple(0.0 for _ in increment)
     for b in basis:
         c = step(q, increment, b)
@@ -132,9 +137,7 @@ def doob(
     """
     A: dict[str, float] = {tree.root: 0.0}
     M: dict[str, float] = {tree.root: 0.0}
-    for n in tree.nodes_by_time():
-        if tree.is_terminal(n):
-            continue
+    for n in tree.decision_nodes(tree.root):
         children = tree.children(n)
         cond = step(tree.q_vector(n), process.ratio_at(n), [family[c] for c in children])
         drift = family[n] - cond
@@ -204,19 +207,21 @@ def _slice_vertices(
 ) -> list[tuple[float, ...]]:
     """Vertices of {1 + B l >= 0} mapped back to density space.
 
-    The polytope is bounded because every direction in the span has zero
-    reference mean, so it cannot be nonnegative without vanishing.  Each
-    vertex makes m = len(basis) of the k coordinates vanish; an empty basis
-    leaves the single point 1.
+    The polytope is bounded: a direction of the span has zero reference mean,
+    so it cannot be nonnegative without vanishing.  Each vertex makes m =
+    len(basis) coordinates vanish (an empty basis leaves the point 1).  It is
+    solved in fractions and rounded once: a float solve can split a vertex
+    where more than m facets meet into points 1e-9 apart.
     """
+    from fractions import Fraction  # only a non-trivial span needs it
+
+    B = [[Fraction(b[c]) for b in basis] for c in range(len(q))]
     vertices: list[tuple[float, ...]] = []
     for rows in itertools.combinations(range(len(q)), len(basis)):
-        lam = _solve_square([[b[r] for b in basis] for r in rows], [-1.0] * len(rows))
+        lam = _solve_square([B[r] for r in rows], [-1] * len(rows))
         if lam is None:
             continue
-        point = tuple(
-            1.0 + sum(x * b[c] for x, b in zip(lam, basis)) for c in range(len(q))
-        )
+        point = tuple(float(1 + sum(x * y for x, y in zip(lam, b))) for b in B)
         if min(point) >= -VERTEX_TOL and not any(_same_point(point, v) for v in vertices):
             vertices.append(point)
     return vertices
@@ -240,34 +245,35 @@ def _full_slice(
     """
     if not basis:
         return all(max(abs(dc - 1.0) for dc in d) <= VERTEX_TOL for d in extremes)
-    if len(q) == 2:
-        # kept: faster than the general rule below on all-binary CRR decompose;
-        # the slice is the segment from (1/q1, 0) to (0, 1/q2), and those two
-        # ends are its vertices
-        ends = ((1.0 / q[0], 0.0), (0.0, 1.0 / q[1]))
-        return all(any(_same_point(end, d) for d in extremes) for end in ends)
     return all(any(_same_point(v, d) for d in extremes) for v in _slice_vertices(q, basis))
 
 
-def premise_check(
-    tree: EventTree,
-    priors: PriorSet,
-    *,
-    bases: Mapping[str, Sequence[Sequence[float]]] | None = None,
-) -> PremiseReport:
+def _node_polytopes(tree: EventTree, priors: PriorSet):
+    """Yield (node, q, extremes, basis, full slice) per decision node, parents
+    first, computing basis and flag once per distinct (q, extremes) pair."""
+    table: dict[tuple, tuple[list[tuple[float, ...]], bool]] = {}
+    for n in tree.decision_nodes(tree.root):
+        q = tree.q_vector(n)
+        extremes = priors.extremes(n)
+        key = (q, tuple(map(tuple, extremes)))
+        if key not in table:
+            basis = node_subspace_basis(tree, priors, n)
+            table[key] = basis, _full_slice(q, basis, extremes)
+        yield (n, q, extremes, *table[key])
+
+
+def premise_check(tree: EventTree, priors: PriorSet) -> PremiseReport:
     """Check, node by node, whether the class meets the subspace premises.
 
     The global flag (all nodes scaling-closed) holds exactly when every
     node span is trivial, i.e. the class is the reference measure alone.
-    ``bases`` maps decision nodes to their ``node_subspace_basis`` when the
-    caller has them already.
+    Nodes that share a polytope share one basis and one vertex check.
     """
     full_slice: dict[str, bool] = {}
     scaling_closed: dict[str, bool] = {}
-    for n in tree.decision_nodes(tree.root):
-        basis = node_subspace_basis(tree, priors, n) if bases is None else bases[n]
-        scaling_closed[n] = len(basis) == 0
-        full_slice[n] = _full_slice(tree.q_vector(n), basis, priors.extremes(n))
+    for n, _, _, basis, full in _node_polytopes(tree, priors):
+        scaling_closed[n] = not basis
+        full_slice[n] = full
     return PremiseReport(full_slice=full_slice, scaling_closed=scaling_closed)
 
 
@@ -309,21 +315,18 @@ def universal_decompose(
     C: dict[str, float] = {tree.root: 0.0}
     K: dict[str, float] = {tree.root: 0.0}
     A: dict[str, float] = {tree.root: 0.0}
-    bases: dict[str, list[tuple[float, ...]]] = {}
+    full_slice: dict[str, bool] = {}
+    scaling_closed: dict[str, bool] = {}
     min_delta_C = float("inf")
     residual = 0.0
-    any_step = False
-    for n in tree.nodes_by_time():
-        if tree.is_terminal(n):
-            continue
-        any_step = True
+    for n, q, extremes, basis, full in _node_polytopes(tree, priors):
+        full_slice[n] = full
+        scaling_closed[n] = not basis
         children = tree.children(n)
-        q = tree.q_vector(n)
         cond = step(q, itertools.repeat(1.0), [R[c] for c in children])
         drift = R[n] - cond
         increment = [R[c] - cond for c in children]
-        basis = bases[n] = node_subspace_basis(tree, priors, n)
-        k_part, m_part = kw_project(tree, n, increment, basis)
+        k_part, m_part = _project(q, increment, basis)
         for i, c in enumerate(children):
             delta_c = drift - k_part[i]
             min_delta_C = min(min_delta_C, delta_c)
@@ -331,16 +334,14 @@ def universal_decompose(
             K[c] = K[n] + k_part[i]
             A[c] = A[n] + drift
             C[c] = C[n] + delta_c
-        for d in priors.extremes(n):
+        for d in extremes:
             residual = max(residual, abs(step(q, d, m_part)))
         residual = max(residual, abs(step(q, itertools.repeat(1.0), m_part)))
-    if not any_step:
-        min_delta_C = 0.0
     diag = DecompositionDiagnostics(
         C_increasing=min_delta_C >= -FLAT_TOL,
         min_delta_C=min_delta_C,
         universal_martingale_residual=residual,
-        premise=premise_check(tree, priors, bases=bases),
+        premise=PremiseReport(full_slice=full_slice, scaling_closed=scaling_closed),
     )
     return Decomposition(
         X0=R[tree.root],
@@ -361,15 +362,13 @@ def flat_off_check(
     """True when C never moves between ``v`` and the rule's stop on any path."""
     C = decomposition.C
     base = C[v]
-    ok = True
     stack = [(v, rule.stops_at(v))]
     while stack:
         n, stopped = stack.pop()
         if abs(C[n] - base) > FLAT_TOL:
-            ok = False
-            break
+            return False
         if stopped:
             continue
         for c in tree.children(n):
             stack.append((c, rule.stops_at(c)))
-    return ok
+    return True

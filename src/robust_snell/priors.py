@@ -172,13 +172,6 @@ class DensityProcess:
         except KeyError:
             raise InvalidPriorSetError(f"no density ratio at node {node_id!r}") from None
 
-    def ratio_for_child(self, tree: EventTree, child_id: str) -> float:
-        parent = tree.parent(child_id)
-        if parent is None:
-            raise InvalidPriorSetError("root has no incoming ratio")
-        idx = tree.children(parent).index(child_id)
-        return self.ratio_at(parent)[idx]
-
     @classmethod
     def from_ratios(
         cls, tree: EventTree, ratio: Mapping[str, Sequence[float]]

@@ -422,6 +422,25 @@ class TestWriteNodesCsv:
         assert not (tmp_path / "out").exists()
 
 
+class TestLargeRewards:
+    """Rewards of 1e7 and more leave rounding of that size in the
+    decomposition's increments; the run still exits 0 with finite outputs."""
+
+    @pytest.mark.parametrize("offset", [1e7, 1e8, 1e10, 1e12])
+    @pytest.mark.parametrize("name", ["tt1", "tt3", "tt4"])
+    def test_shifted_fixture_decomposes(self, tmp_path, name, offset):
+        payload = json.loads(fixtures.config_path(name).read_text())
+        for nd in payload["tree"]["nodes"]:
+            nd["Y"] = offset + 0.37 * nd["Y"]
+        code, outdir = run_command(tmp_path, "decompose", write_config(tmp_path, payload))
+        assert code == 0
+        summary = json.loads((outdir / "summary.json").read_text(), parse_constant=pytest.fail)
+        assert summary["universal_martingale_residual"] <= 1e-15 * offset
+        for row in read_nodes(outdir):
+            R, M, C = (float(row[k]) for k in ("R", "M", "C"))
+            assert abs(summary["X0"] + M - C - R) <= 1e-15 * offset
+
+
 def corner_payload(name, v):
     """A fixture whose extreme j at every decision node is 1/q_j on child j
     and 0 elsewhere, evaluated at ``v``."""

@@ -1,8 +1,10 @@
+import collections
 import itertools
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,13 @@ from robust_snell.decomposition import (
     _same_point,
     _slice_vertices,
 )
-from robust_snell.pricing import CrrParams, build_crr_barrier_tree, drift_ambiguity_priors
+from robust_snell.filtration import step
+from robust_snell.pricing import (
+    CrrParams,
+    build_crr_barrier_tree,
+    drift_ambiguity_priors,
+    knockin_payoff,
+)
 
 
 class TestDoob:
@@ -60,6 +68,31 @@ class TestDoob:
     def test_submartingale_rejected(self, tt4):
         with pytest.raises(NotASupermartingaleError):
             doob(tt4.tree, tt4.payoff, DensityProcess.reference(tt4.tree))
+
+    def test_same_bits_as_the_time_sorted_walk(self, tt4, monkeypatch):
+        def time_sorted_doob(tree, family, process):
+            A, M = {tree.root: 0.0}, {tree.root: 0.0}
+            for n in sorted(tree.decision_nodes(tree.root), key=tree.time):
+                children = tree.children(n)
+                cond = step(tree.q_vector(n), process.ratio_at(n), [family[c] for c in children])
+                for c in children:
+                    A[c] = A[n] + (family[n] - cond)
+                    M[c] = M[n] + family[c] - cond
+            return A, M
+
+        models = [(tt4.tree, tt4.payoff, tt4.priors)] + [random_instance(s) for s in range(10)]
+        expected = []
+        for tree, payoff, priors in models:
+            sol = solve(tree, payoff, priors)
+            selection = dict.fromkeys(tree.decision_nodes(tree.root), 0)
+            process = density_process(tree, priors, selection)
+            expected.append((time_sorted_doob(tree, sol.R, process), (tree, sol.R, process)))
+        for name in ("nodes_by_time", "is_terminal"):
+            monkeypatch.setattr(EventTree, name, None)
+        for (A_ref, M_ref), args in expected:
+            A, M = doob(*args)
+            assert {n: v.hex() for n, v in A.items()} == {n: v.hex() for n, v in A_ref.items()}
+            assert {n: v.hex() for n, v in M.items()} == {n: v.hex() for n, v in M_ref.items()}
 
     def test_drift_is_sibling_constant_and_nonnegative(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
@@ -231,6 +264,63 @@ class TestPremise:
             assert dec.diagnostics.C_increasing
 
 
+class TestOnePass:
+    """``universal_decompose`` walks the decision nodes once, parents first,
+    and computes one basis and one full-slice flag per distinct polytope."""
+
+    COUNTED = [
+        (decomposition, "node_subspace_basis"),
+        (decomposition, "_full_slice"),
+        (decomposition, "premise_check"),
+        (EventTree, "q_vector"),
+        (EventTree, "nodes_by_time"),
+    ]
+
+    def decompose_counting(self, monkeypatch, tree, payoff, priors):
+        sol = solve(tree, payoff, priors)
+        calls = collections.Counter()
+        for owner, name in self.COUNTED:
+
+            def counted(*args, _name=name, _original=getattr(owner, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        dec = universal_decompose(tree, sol, priors)
+        monkeypatch.undo()
+        return calls, dec
+
+    def test_crr_put_computes_its_one_polytope_once(self, monkeypatch):
+        tree, payoff, priors = crr_model(10)
+        decision = len(tree.decision_nodes(tree.root))
+        assert decision == 1023
+        calls, dec = self.decompose_counting(monkeypatch, tree, payoff, priors)
+        assert calls["node_subspace_basis"] == 1
+        assert calls["_full_slice"] == 1
+        assert calls["q_vector"] <= 2 * decision + 1
+        assert calls["nodes_by_time"] == 0
+        assert calls["premise_check"] == 0
+        assert dec.diagnostics.premise == premise_check(tree, priors)
+
+    def test_extremes_given_as_lists(self, tt1):
+        sol = solve(tt1.tree, tt1.payoff, tt1.priors)
+        listed = PriorSet(extreme_points={"r": [[1.5, 0.5], [0.5, 1.5]]})
+        dec = universal_decompose(tt1.tree, sol, listed)
+        ref = universal_decompose(tt1.tree, sol, tt1.priors)
+        assert dec.diagnostics == ref.diagnostics
+        assert (dec.M.values, dec.C.values) == (ref.M.values, ref.C.values)
+
+    def test_unshared_polytopes_once_per_node(self, monkeypatch):
+        for seed in range(10):
+            tree, payoff, priors = random_instance(seed)
+            decision = len(tree.decision_nodes(tree.root))
+            calls, dec = self.decompose_counting(monkeypatch, tree, payoff, priors)
+            assert calls["node_subspace_basis"] == decision
+            assert calls["_full_slice"] == decision
+            assert calls["premise_check"] == 0
+            assert dec.diagnostics.premise == premise_check(tree, priors)
+
+
 def one_step(q, extremes):
     """A one-step tree with edge probabilities ``q`` and the given extremes."""
     children = [NodeRecord(id=f"c{i}", time=1, parent="r", q=qc) for i, qc in enumerate(q)]
@@ -243,6 +333,8 @@ def _in_hull(point, extremes):
 
     HiGHS runs without presolve: with two extremes 1e-6 apart, presolve can
     call the problem infeasible even when ``point`` is one of the extremes.
+    Its feasibility tolerance is ``VERTEX_TOL``, not the default 1e-7, which
+    took a slice vertex 2e-8 outside the hull for a member (``NEAR_HULL_CASE``).
     """
     E = np.asarray(extremes, dtype=float).T  # (k, n_ext)
     n_ext = E.shape[1]
@@ -252,21 +344,39 @@ def _in_hull(point, extremes):
         b_eq=np.concatenate([point, [1.0]]),
         bounds=[(0, None)] * n_ext,
         method="highs",
-        options={"presolve": False},
+        options={"presolve": False, "primal_feasibility_tolerance": VERTEX_TOL},
     )
     return bool(res.status == 0)
 
 
+def exact_det(rows):
+    """Determinant of a small square matrix of fractions, by cofactors."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * x * exact_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
+
+
 def reference_vertices(q, basis):
-    """The slice vertices by ``numpy.linalg``, independent of the package's
-    Gaussian elimination."""
-    B = np.asarray(basis, dtype=float).T  # (k, m)
+    """The slice vertices of the float basis in exact rational arithmetic, by
+    Cramer's rule, rounded once to floats: independent of the package's
+    Gaussian elimination.  (``numpy.linalg.solve`` carries rounding of the
+    same size, which an ill-conditioned subsystem amplifies past
+    ``VERTEX_TOL``; see ``NEAR_CORNER_CASE``.)"""
+    B = [[Fraction(b[c]) for b in basis] for c in range(len(q))]
     vertices = []
     for rows in itertools.combinations(range(len(q)), len(basis)):
-        sub = B[list(rows), :]
-        if abs(np.linalg.det(sub)) < DET_TOL:
+        sub = [B[r] for r in rows]
+        det = exact_det(sub)
+        if abs(det) < DET_TOL:
             continue
-        point = 1.0 + B @ np.linalg.solve(sub, -np.ones(len(rows)))
+        lam = [
+            exact_det([row[:j] + [-1] + row[j + 1:] for row in sub]) / det
+            for j in range(len(basis))
+        ]
+        point = np.array([float(1 + sum(x * y for x, y in zip(lam, b))) for b in B])
         if np.all(point >= -VERTEX_TOL):
             if not any(np.allclose(point, v, atol=VERTEX_TOL) for v in vertices):
                 vertices.append(point)
@@ -303,7 +413,7 @@ def crr_model(steps, ambiguity=(0.4, 0.6)):
         q_up=0.5, ambiguity=ambiguity,
     )
     tree = build_crr_barrier_tree(params)
-    return tree, drift_ambiguity_priors(tree, params)
+    return tree, knockin_payoff(tree, params), drift_ambiguity_priors(tree, params)
 
 
 # a probability weight that is 0 or at least 1e-6
@@ -325,7 +435,9 @@ def star_nodes(draw):
     tree, priors = one_step(q, points)
     basis = node_subspace_basis(tree, priors, "r")
     assume(basis)
-    vertices = [list(v) for v in reference_vertices(q, basis)]
+    # extremes are densities, which ``validate_prior_set`` requires to be
+    # nonnegative; the vertex rule presumes they lie in the slice
+    vertices = [[max(0.0, x) for x in v] for v in reference_vertices(q, basis)]
     drop = draw(st.one_of(st.none(), st.integers(0, max(0, len(vertices) - 1))))
     extremes = [v for i, v in enumerate(vertices) if i != drop]
     extremes += draw(st.lists(st.sampled_from(points), max_size=2))
@@ -346,13 +458,116 @@ PRESOLVE_CASE = (
 )
 
 
+def binary_closed_form(q, extremes):
+    """The full-slice verdict at a binary node with a non-trivial span: its
+    slice is the segment from (1/q1, 0) to (0, 1/q2), whose two ends are the
+    vertices, so the hull is the slice exactly when both ends are extremes."""
+    ends = ((1.0 / q[0], 0.0), (0.0, 1.0 / q[1]))
+    return all(any(_same_point(end, d) for d in extremes) for end in ends)
+
+
+# a coordinate that is 0, or 1e-12 to 1e-6 off it on either side
+NEAR_ZERO = st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(-1e-6, -1e-12))
+
+
+@st.composite
+def near_end_binary_nodes(draw):
+    """Edge probabilities of a binary node and extremes on its slice's line,
+    one near each end: the coordinate that vanishes at the end is 0 or 1e-12
+    to 1e-6 off, straddling the ``VERTEX_TOL`` edge of ``_same_point``."""
+    q1 = draw(st.floats(0.05, 0.95))
+    q = (q1, 1.0 - q1)
+    up, down = draw(NEAR_ZERO), draw(NEAR_ZERO)
+    extremes = [((1.0 - q[1] * up) / q[0], up), (down, (1.0 - q[0] * down) / q[1])]
+    inner = st.floats(0.0, 1.0).map(lambda p: (p / q[0], (1.0 - p) / q[1]))
+    return q, extremes + draw(st.lists(inner, max_size=1))
+
+
+def near_end_case(q1, up):
+    """A binary node with one extreme at the end (0, 1/q2) and one whose
+    coordinate that vanishes at the end (1/q1, 0) is ``up``."""
+    q = (q1, 1.0 - q1)
+    return q, [((1.0 - q[1] * up) / q[0], up), (0.0, 1.0 / q[1])]
+
+
+# ``up`` within rounding of the ``VERTEX_TOL`` edge: the vertex rule matched
+# the closed form here only once a vertex's vanishing coordinates were set to
+# exactly 0.0 instead of the rounding of 1 + B l
+EDGE_CASES = [
+    near_end_case(0.6649694400373257, -1.000009989020783e-09),
+    near_end_case(0.36294832932137044, 1.0000100708273608e-09),
+]
+
+
+# a 4-child node whose slice has a vertex at the simplex corner
+# (0, 0, 1/q3, 0), where three facets meet: the subsystem of rows 1 and 3 has
+# determinant -5.1e-7, and numpy.linalg.solve put its vertex 1.27e-9 from the
+# corner, past VERTEX_TOL, so the reference counted 4 vertices; exact
+# arithmetic on the same basis puts it 8.5e-10 away, one vertex of 3
+NEAR_CORNER_CASE = (
+    [0.11749115732874411, 0.502023774024851, 0.3134762669102856, 0.0670088017361193],
+    [
+        [1.1102230246251565e-16, 1.757368584154361, 0.0, 1.7573690019686452],
+        [8.511270182912455, 2.0235535377333136e-06, 1.1102230246251565e-16,
+         1.1102230246251565e-16],
+    ],
+)
+
+
+# a 5-child node whose slice vertex (0, 0, 0, 4.98, 0.019) is no extreme
+# but lies 2e-8 from the edge between the first two: HiGHS at its default
+# feasibility tolerance of 1e-7 called it a member of their hull
+NEAR_HULL_CASE = (
+    [0.2] * 5,
+    [
+        [0.0, 0.0, 4.999994999726555e-06, 0.0, 4.999995000005001],
+        [1.953126930129963e-08, 1.953126930129963e-08, 0.0, 4.999999960937461, 0.0],
+        [1.666667220052267, 1.666667220052267, 1.6666655598954658, 0.0, 0.0],
+    ],
+)
+
+
+# drawn with its third component at -5e-12, the first extreme lay outside the
+# slice (``validate_prior_set`` refuses a negative component), and the slice
+# vertex (0, 0, 0, 5e-6, 5) was in the hull of the extremes but none of them,
+# so the hull LP and the vertex rule disagreed; ``star_nodes`` now clips
+# vertex components at 0, which gives this draw
+NEAR_FACET_CASE = (
+    [0.2] * 5,
+    [
+        [0.0, 0.0, 0.0, 0.0, 5.000000000005],
+        [0.0, 0.0, 4.999995000200649e-06, 4.999995000005, 0.0],
+        [1.666667222221852, 1.666667222221852, 1.6666655555562961, 0.0, 0.0],
+    ],
+)
+
+# a 5-child node whose corner (0, 1/q2, 0, 0, 0) is a vertex where four facets
+# meet: float elimination put one of its subsystems' solutions 1.05e-9 away,
+# a fifth vertex that no extreme matched
+SPLIT_CORNER_CASE = (
+    [0.18997785353523902, 0.2516502128346572, 0.27712386500971126,
+     0.25218809995459524, 0.029059968665797332],
+    [
+        [0.0, 0.0, 0.0, 4.052352365719636e-06, 34.41156422243235],
+        [0.0, 0.0, 2.0501884109556348, 1.7123879502466888, 0.0],
+        [0.0, 3.973769736714008, 0.0, 1.8527863712997966e-16, 0.0],
+        [4.319099573584025, 0.0, 0.0, 0.711638391493701, 0.0],
+    ],
+)
+
+
 class TestBinaryClosedForm:
-    """The premise check decides the full slice without an LP: in closed form
-    at binary nodes, by slice-vertex membership at larger ones."""
+    """The premise check decides the full slice without an LP, by slice-vertex
+    membership at every node; at binary nodes that is the closed form, both
+    ends of the segment being extremes."""
 
     @settings(max_examples=200, deadline=None)
     @given(node=star_nodes())
     @example(node=PRESOLVE_CASE)
+    @example(node=NEAR_CORNER_CASE)
+    @example(node=NEAR_HULL_CASE)
+    @example(node=NEAR_FACET_CASE)
+    @example(node=SPLIT_CORNER_CASE)
     def test_agrees_with_the_lp(self, node):
         q, extremes = node
         tree, priors = one_step(q, extremes)
@@ -380,14 +595,42 @@ class TestBinaryClosedForm:
         ],
     )
     def test_endpoint_cases(self, q1, extremes, expected):
-        closed, lp, _ = rule_and_lp((q1, 1.0 - q1), extremes)
-        assert closed is expected
+        rule, lp, _ = rule_and_lp((q1, 1.0 - q1), extremes)
+        assert rule is expected
         assert lp is expected
+        assert binary_closed_form((q1, 1.0 - q1), extremes) is expected
+
+    @pytest.mark.parametrize("ambiguity", [(0.4, 0.6), (0.01, 0.99), (0.5, 0.5)])
+    def test_every_crr_node_matches_the_closed_form(self, ambiguity):
+        checked = 0
+        for steps in range(2, 13):
+            tree, _, priors = crr_model(steps, ambiguity)
+            for n in tree.decision_nodes(tree.root):
+                q, extremes = tree.q_vector(n), priors.extremes(n)
+                basis = node_subspace_basis(tree, priors, n)
+                # a trivial span leaves the one point 1, the lone extreme
+                expected = binary_closed_form(q, extremes) if basis else True
+                assert _full_slice(q, basis, extremes) is expected
+                checked += 1
+        assert checked == sum(2**steps - 1 for steps in range(2, 13))
+
+    @settings(max_examples=300, deadline=None)
+    @given(node=near_end_binary_nodes())
+    @example(node=EDGE_CASES[0])
+    @example(node=EDGE_CASES[1])
+    def test_near_end_extremes_match_the_closed_form(self, node):
+        q, extremes = node
+        tree, priors = one_step(q, extremes)
+        q = tree.q_vector("r")
+        basis = node_subspace_basis(tree, priors, "r")
+        assert len(basis) == 1
+        assert _full_slice(q, basis, priors.extremes("r")) == binary_closed_form(q, extremes)
 
     def test_every_binary_node_of_the_models_agrees(self, tt1, tt4):
         models = [(tt1.tree, tt1.priors), (tt4.tree, tt4.priors)]
-        models += [crr_model(steps, amb) for steps in (3, 5) for amb in ((0.4, 0.6), (0.01, 0.99))]
-        models += [(tree, priors) for tree, _, priors in map(random_instance, range(10))]
+        crr = [crr_model(steps, amb) for steps in (3, 5) for amb in ((0.4, 0.6), (0.01, 0.99))]
+        randoms = [random_instance(seed) for seed in range(10)]
+        models += [(tree, priors) for tree, _, priors in crr + randoms]
         checked = 0
         for tree, priors in models:
             for n in tree.decision_nodes(tree.root):
@@ -405,7 +648,7 @@ class TestBinaryClosedForm:
             raise AssertionError("linprog called by the premise check")
 
         monkeypatch.setattr(decomposition, "linprog", no_lp)
-        tree, priors = crr_model(6)
+        tree, _, priors = crr_model(6)
         report = premise_check(tree, priors)
         assert not any(report.full_slice.values())
         edge = PriorSet.from_node_extremes({"r": [[2.0, 0.0], [0.0, 2.0]]})

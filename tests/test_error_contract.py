@@ -106,6 +106,16 @@ OVERFLOW = (
 # extreme 0 at r leaves d without mass; z* must charge it through extreme 1
 NULL_MASS_V = ("tt4corner", [("set", ("v",), "d")])
 
+# rewards near 1e7: the decomposition's increments carry rounding of that
+# size, which a mean guard scaled by the increment once took for a fault
+LARGE_REWARDS = (
+    "tt3",
+    [
+        ("set", ("tree", "nodes", i, "Y"), y)
+        for i, y in enumerate((1e7, 1e7 + 0.74, 1e7, 1e7 + 0.37))
+    ],
+)
+
 ID_COLUMNS = {"node_id", "parent_id"}
 
 
@@ -116,6 +126,7 @@ def reject_constant(name):
 @settings(max_examples=120, deadline=None)
 @example(case=OVERFLOW)
 @example(case=NULL_MASS_V)
+@example(case=LARGE_REWARDS)
 @given(case=cases())
 def test_every_config_exits_cleanly(case):
     name, mutations = case

@@ -84,6 +84,10 @@ GOLDEN = {
     "decompose:crr4": "54f385d97e40baa0092389731367d1e5f7752c15f7f38b804b81037ad19db262",
     "decompose:crr5": "920b8f19453713b3e0ea49bad9344c5c3d823bb2bf8253c8eca473f1f9e8ddcf",
     "decompose:crr6": "dda885464d9006a949eb881acdd2837cd63b946027f7d0b1e5d18dfe47bf9322",
+    "decompose:crr8": "af3711d7eab43bc9f14caffa3474ba603155e0cd4dd22ecb3fd90e9e2e833fed",
+    "decompose:crr10": "8ff487f5dbb31bbf118b9ca8b63cee69fbbfce8ef0c5fe5b8cb3e0596860b538",
+    "decompose:crr4eq": "a7769e09e356c5c1bbe9eb0e2f11d837bf10427151a9fc276a09a7a84be66686",
+    "decompose:crr6eq": "398593198ca19119f85f7f0df5273094622cd5481d5ae1850f9485e2d82879f3",
 }
 
 
