@@ -37,11 +37,7 @@ from .filtration import (
     StoppingRule,
     count_rules,
     enumerate_rules,
-    expected_value_q,
     first_entry_rule,
-    max_rule,
-    min_rule,
-    step_expectation_q,
     stop_at_time_rule,
     validate_family,
     validate_tree,
@@ -50,22 +46,16 @@ from .priors import (
     DensityProcess,
     PriorSet,
     bayes_conditional,
-    convex_combine,
     density_process,
     extreme_selections,
-    paste,
     selection_count,
-    validate_density_process,
-    validate_prior_set,
 )
 from .snell import (
     CertificateReport,
     IdentityCheck,
     IdentityReport,
     SnellSolution,
-    SupermartingaleReport,
     check_optimality_certificate,
-    check_supermartingale_family,
     extract_optimal_prior,
     gamma,
     solve,
@@ -77,9 +67,7 @@ from .decomposition import (
     Decomposition,
     DecompositionDiagnostics,
     PremiseReport,
-    doob,
     flat_off_check,
-    kw_project,
     node_subspace_basis,
     premise_check,
     universal_decompose,
@@ -87,7 +75,6 @@ from .decomposition import (
 from .oracle import (
     BruteForceResult,
     CrosscheckReport,
-    brute_force_strict_value,
     brute_force_value,
     crosscheck,
 )

@@ -31,8 +31,6 @@ from .errors import (
     InvalidRuleError,
     InvalidTreeError,
     NonFiniteValueError,
-    NotMeasurableError,
-    RobustSnellError,
     SizeGuardError,
     UnattainedSupremumError,
     UndefinedConditionalError,
@@ -370,9 +368,6 @@ def parse_config(path: str | Path) -> RunConfig:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad crr block: {exc}") from exc
-        report = crr_params.validate()
-        if report:
-            raise ConfigError("; ".join(report))
         tree = build_crr_barrier_tree(crr_params)
         payoff = knockin_payoff(tree, crr_params)
         priors = drift_ambiguity_priors(tree, crr_params, mode=mode)
@@ -536,7 +531,6 @@ _CONFIG_ERRORS = (
     InvalidPriorSetError,
     InvalidParamsError,
     InvalidRuleError,
-    NotMeasurableError,
     UndefinedConditionalError,
 )
 

@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import NotASupermartingaleError
 from .filtration import AdaptedFamily, EventTree, StoppingRule, step
-from .priors import DensityProcess, PriorSet
+from .priors import PriorSet
 from .snell import SnellSolution
 
 #: tolerance below which a projected basis candidate is considered dependent
@@ -42,14 +41,6 @@ VERTEX_RTOL = 1e-5
 
 #: determinant below which a square subsystem of the slice has no vertex
 DET_TOL = 1e-12
-
-#: default bound on a one-step gain in ``doob``, relative to the value (at
-#: least 1)
-DOOB_TOL = 1e-9
-
-#: bound on an increment's reference mean, relative to its largest entry
-#: (at least 1)
-MEAN_TOL = 1e-9
 
 
 def __getattr__(name: str):
@@ -89,66 +80,20 @@ def node_subspace_basis(
     return basis
 
 
-def kw_project(
-    tree: EventTree,
-    node: str,
-    increment: Sequence[float],
-    basis: Sequence[Sequence[float]],
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Orthogonal split of a zero-mean one-step increment.
-
-    Returns (part inside the density-increment span, orthogonal part), both
-    zero-mean under the reference weights.
-    """
-    q = tree.q_vector(node)
-    mean = step(q, itertools.repeat(1.0), increment)
-    scale = max(1.0, max(map(abs, increment), default=1.0))
-    if abs(mean) > MEAN_TOL * scale:
-        raise NotASupermartingaleError(
-            f"increment at node {node!r} has nonzero reference mean {mean:g}"
-        )
-    return _project(q, increment, basis)
-
-
 def _project(
     q: Sequence[float], increment: Sequence[float], basis: Sequence[Sequence[float]]
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """``kw_project`` without its mean guard, which the rounding of large
-    values trips on increments that have zero mean by construction."""
+    """Orthogonal split of a zero-mean one-step increment: (part inside the
+    span of the orthonormal ``basis``, orthogonal part).
+
+    The mean is not checked: the rounding of large values would trip such a
+    guard on increments that have zero mean by construction."""
     k_part = tuple(0.0 for _ in increment)
     for b in basis:
         c = step(q, increment, b)
         k_part = tuple(x + c * y for x, y in zip(k_part, b))
     orth = tuple(x - y for x, y in zip(increment, k_part))
     return k_part, orth
-
-
-def doob(
-    tree: EventTree,
-    family: AdaptedFamily,
-    process: DensityProcess,
-    tol: float = DOOB_TOL,
-) -> tuple[AdaptedFamily, AdaptedFamily]:
-    """Classical discrete Doob split of a supermartingale under one prior.
-
-    Returns (A, M) with family = family(root) + M - A along every path,
-    A predictable (increments constant across siblings) and nondecreasing,
-    M a martingale under the given prior.
-    """
-    A: dict[str, float] = {tree.root: 0.0}
-    M: dict[str, float] = {tree.root: 0.0}
-    for n in tree.decision_nodes(tree.root):
-        children = tree.children(n)
-        cond = step(tree.q_vector(n), process.ratio_at(n), [family[c] for c in children])
-        drift = family[n] - cond
-        if drift < -tol * max(1.0, abs(family[n])):
-            raise NotASupermartingaleError(
-                f"family gains {-drift:g} in one step at node {n!r}"
-            )
-        for c in children:
-            A[c] = A[n] + drift
-            M[c] = M[n] + family[c] - cond
-    return AdaptedFamily(A), AdaptedFamily(M)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
-    FloorMismatchError,
     InvalidFamilyError,
     InvalidRuleError,
     InvalidTreeError,
@@ -72,16 +71,18 @@ class EventTree:
         if len(roots) != 1:
             raise InvalidTreeError(f"expected exactly one root, found {len(roots)}")
         self.root = roots[0]
-        self._children: dict[str, Sequence[str]] = {r.id: [] for r in records}
+        # child ids grouped by parent; leaves get no list, only the shared ()
+        kids: dict[str, list[str]] = {}
         for rec in records:
             if rec.parent is not None:
                 if rec.parent not in self._records:
                     raise InvalidTreeError(
                         f"node {rec.id!r} references unknown parent {rec.parent!r}"
                     )
-                self._children[rec.parent].append(rec.id)
-        for n, kids in self._children.items():
-            self._children[n] = tuple(kids)  # leaves share ()
+                kids.setdefault(rec.parent, []).append(rec.id)
+        self._children: dict[str, tuple[str, ...]] = {
+            n: tuple(kids.pop(n, ())) for n in self._records
+        }
 
     # -- basic accessors -------------------------------------------------
 
@@ -127,10 +128,6 @@ class EventTree:
     def leaves(self) -> tuple[str, ...]:
         return tuple(n for n in self._records if not self._children[n])
 
-    def atoms_at(self, t: int) -> tuple[str, ...]:
-        """Nodes at time t, the atoms of the time-t sigma-field."""
-        return tuple(n for n, r in self._records.items() if r.time == t)
-
     # -- traversal helpers -----------------------------------------------
 
     def subtree(self, v: str) -> tuple[str, ...]:
@@ -142,9 +139,6 @@ class EventTree:
             out.append(n)
             stack.extend(reversed(self._children[n]))
         return tuple(out)
-
-    def leaves_below(self, v: str) -> tuple[str, ...]:
-        return tuple(n for n in self.subtree(v) if not self._children[n])
 
     def decision_nodes(self, v: str) -> tuple[str, ...]:
         """Non-terminal nodes of the subtree at ``v``, in preorder."""
@@ -163,18 +157,6 @@ class EventTree:
             chain.append(p)
             n = p
         return tuple(reversed(chain))
-
-    def ancestor_at(self, node_id: str, t: int) -> str:
-        """The time-t ancestor of ``node_id`` (the atom containing it)."""
-        n = node_id
-        while self.time(n) > t:
-            p = self.parent(n)
-            if p is None:
-                break
-            n = p
-        if self.time(n) != t:
-            raise InvalidTreeError(f"node {node_id!r} has no ancestor at time {t}")
-        return n
 
     def nodes_by_time(self, descending: bool = False) -> tuple[str, ...]:
         order = sorted(
@@ -332,17 +314,6 @@ class StoppingRule:
         """Nodes the rule passes through without stopping."""
         return frozenset(n for n, _ in self.walk(tree).continuation)
 
-    def validate(self, tree: EventTree) -> list[str]:
-        report = []
-        if self.floor not in tree:
-            return [f"floor {self.floor!r} not in tree"]
-        if self.strict and not tree.is_terminal(self.floor) and self.stops_at(self.floor):
-            report.append(f"strict rule stops at its non-terminal floor {self.floor}")
-        for leaf in tree.leaves_below(self.floor):
-            if not any(self.stops_at(n) for n in tree.path(self.floor, leaf)):
-                report.append(f"path to {leaf} never stops")
-        return report
-
 
 class RuleWalk(NamedTuple):
     """A stopping rule traversed from its floor.
@@ -424,37 +395,6 @@ def stop_at_time_rule(tree: EventTree, t: int, v: str) -> StoppingRule:
     return first_entry_rule(tree, lambda n: tree.time(n) >= t, v)
 
 
-def _check_compatible(r1: StoppingRule, r2: StoppingRule) -> None:
-    if r1.floor != r2.floor:
-        raise FloorMismatchError(
-            f"rules anchored at different floors: {r1.floor!r} vs {r2.floor!r}"
-        )
-
-
-def min_rule(tree: EventTree, r1: StoppingRule, r2: StoppingRule) -> StoppingRule:
-    """Pathwise minimum of two stopping times with a common floor."""
-    _check_compatible(r1, r2)
-    rule = first_entry_rule(
-        tree, lambda n: r1.stops_at(n) or r2.stops_at(n), r1.floor
-    )
-    return StoppingRule(labels=rule.labels, floor=rule.floor, strict=r1.strict and r2.strict)
-
-
-def max_rule(tree: EventTree, r1: StoppingRule, r2: StoppingRule) -> StoppingRule:
-    """Pathwise maximum of two stopping times with a common floor."""
-    _check_compatible(r1, r2)
-    labels: dict[str, bool] = {}
-    stack = [(r1.floor, False, False)]
-    while stack:
-        n, done1, done2 = stack.pop()
-        d1 = done1 or r1.stops_at(n)
-        d2 = done2 or r2.stops_at(n)
-        labels[n] = d1 and d2
-        if not labels[n]:
-            stack.extend((c, d1, d2) for c in reversed(tree.children(n)))
-    return StoppingRule(labels=labels, floor=r1.floor, strict=r1.strict or r2.strict)
-
-
 def count_rules(tree: EventTree, v: str, strict: bool = False) -> int:
     """Closed-form count of stopping rules on the subtree at ``v``."""
     free: dict[str, int] = {}
@@ -501,33 +441,3 @@ def enumerate_rules(tree: EventTree, v: str, strict: bool = False) -> list[Stopp
 
     all_labels = continuing(v) if strict and not tree.is_terminal(v) else label_sets(v)
     return [StoppingRule(labels=lab, floor=v, strict=strict) for lab in all_labels]
-
-
-def step_expectation_q(
-    tree: EventTree, child_values: Mapping[str, float], node: str
-) -> float:
-    """One-step conditional expectation under the reference measure."""
-    children = tree.children(node)
-    if not children:
-        raise InvalidTreeError(f"node {node!r} is terminal")
-    for c in children:
-        if c not in child_values:
-            raise InvalidFamilyError(f"missing value for child {c!r}")
-    return step(
-        tree.q_vector(node), itertools.repeat(1.0), [child_values[c] for c in children]
-    )
-
-
-def expected_value_q(
-    tree: EventTree, family: AdaptedFamily, rule: StoppingRule, v: str
-) -> float:
-    """Conditional expectation of the stopped family under the reference measure.
-
-    Computed by backward accumulation from the rule's cut to ``v``.
-    """
-    if rule.floor != v:
-        raise FloorMismatchError(f"rule floor {rule.floor!r} != evaluation node {v!r}")
-    walk = rule.walk(tree)
-    stopped = {s: family[s] for s in walk.cut}
-    unit = (itertools.repeat(1.0),)
-    return fold_rows(walk, tree.q_vector, lambda n: unit, stopped)[0]

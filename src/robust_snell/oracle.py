@@ -50,13 +50,6 @@ def brute_force_value(
     return _brute_force(tree, payoff, priors, v, strict=False)[0]
 
 
-def brute_force_strict_value(
-    tree: EventTree, payoff: AdaptedFamily, priors: PriorSet, v: str
-) -> float:
-    """Same supremum over rules that must continue at a non-terminal ``v``."""
-    return _brute_force(tree, payoff, priors, v, strict=True)[1].value
-
-
 def _brute_force(
     tree: EventTree,
     payoff: AdaptedFamily,

@@ -20,7 +20,6 @@ from .errors import (
     FloorMismatchError,
     InvalidPriorSetError,
     InvalidSelectionError,
-    NotMeasurableError,
     SizeGuardError,
     UndefinedConditionalError,
 )
@@ -28,9 +27,6 @@ from .filtration import AdaptedFamily, EventTree, StoppingRule, fold_rows, step
 
 #: absolute tolerance on one-step martingale sums
 MARTINGALE_TOL = 1e-12
-
-#: absolute tolerance on z against the cumulative product of its ratios
-CUMULATIVE_TOL = 1e-10
 
 #: absolute tolerance on the sum of a selection's convex coefficients
 WEIGHT_SUM_TOL = 1e-9
@@ -98,61 +94,42 @@ class PriorSet:
         return cls(extreme_points=pts, mode=mode)
 
 
-#: violation kinds: unusable in any mode, or a boundary point of the open set
-STRUCTURAL = "structural"
-BOUNDARY = "boundary"
+def structural_violations(tree: EventTree, priors: PriorSet) -> list[str]:
+    """Diagnose the violations that make a prior set unusable; an empty list
+    means valid.
 
-
-def _violations(tree: EventTree, priors: PriorSet) -> list[tuple[str, str]]:
-    """Invariant violations of a prior set as (kind, message) pairs."""
-    report: list[tuple[str, str]] = []
-
-    def bad(message: str, kind: str = STRUCTURAL) -> None:
-        report.append((kind, message))
-
+    Zero components are allowed in both modes: under ``equivalent`` mode they
+    are boundary points of the open set, handled through attainment reporting
+    rather than rejection.
+    """
+    report: list[str] = []
     if priors.mode not in (MODE_CLOSURE, MODE_EQUIVALENT):
-        bad(f"unknown mode {priors.mode!r}")
+        report.append(f"unknown mode {priors.mode!r}")
     decision = dict.fromkeys(tree.decision_nodes(tree.root))
     for n in priors.extreme_points:
         if n not in decision:
-            bad(f"extreme points given for non-decision node {n}")
+            report.append(f"extreme points given for non-decision node {n}")
     for n in decision:
         if n not in priors.extreme_points or not priors.extreme_points[n]:
-            bad(f"node {n}: no extreme points")
+            report.append(f"node {n}: no extreme points")
             continue
         k = len(tree.children(n))
         q = tree.q_vector(n)
         for i, d in enumerate(priors.extreme_points[n]):
             if len(d) != k:
-                bad(f"node {n}: extreme {i} has {len(d)} components, expected {k}")
+                report.append(
+                    f"node {n}: extreme {i} has {len(d)} components, expected {k}"
+                )
                 continue
             total = step(q, d, itertools.repeat(1.0))
             if abs(total - 1.0) > MARTINGALE_TOL:
-                bad(f"node {n}: martingale sum {total:g} ≠ 1")
+                report.append(f"node {n}: martingale sum {total:g} ≠ 1")
             for dc in d:
                 if not 0 <= dc < math.inf:
                     what = "negative" if dc < 0 else "non-finite"
-                    bad(f"node {n}: {what} density component {dc:g}")
-                    break
-                if dc == 0 and priors.mode == MODE_EQUIVALENT:
-                    bad(f"node {n}: nonpositive density component", BOUNDARY)
+                    report.append(f"node {n}: {what} density component {dc:g}")
                     break
     return report
-
-
-def validate_prior_set(tree: EventTree, priors: PriorSet) -> list[str]:
-    """Diagnose invariant violations of a prior set; empty list means valid."""
-    return [msg for _, msg in _violations(tree, priors)]
-
-
-def structural_violations(tree: EventTree, priors: PriorSet) -> list[str]:
-    """The subset of violations that make a prior set unusable in any mode.
-
-    Zero components under ``equivalent`` mode are excluded: they describe
-    boundary points of the open set and are handled through attainment
-    reporting rather than rejection.
-    """
-    return [msg for kind, msg in _violations(tree, priors) if kind == STRUCTURAL]
 
 
 @dataclass(frozen=True)
@@ -199,29 +176,6 @@ class DensityProcess:
             for n in tree.decision_nodes(tree.root)
         }
         return cls.from_ratios(tree, ratios)
-
-
-def validate_density_process(
-    tree: EventTree, process: DensityProcess, mode: str = MODE_CLOSURE
-) -> list[str]:
-    report: list[str] = []
-    if abs(process.z.get(tree.root, float("nan")) - 1.0) > MARTINGALE_TOL:
-        report.append("z(root) != 1")
-    for n in tree.decision_nodes(tree.root):
-        q = tree.q_vector(n)
-        r = process.ratio_at(n)
-        total = step(q, r, itertools.repeat(1.0))
-        if abs(total - 1.0) > MARTINGALE_TOL:
-            report.append(f"node {n}: martingale sum {total:g} ≠ 1")
-        for c, rc in zip(tree.children(n), r):
-            expected = process.z[n] * rc
-            if abs(process.z[c] - expected) > CUMULATIVE_TOL:
-                report.append(f"node {c}: z inconsistent with cumulative product")
-    if mode == MODE_EQUIVALENT:
-        for n in tree.nodes():
-            if process.z.get(n, 0.0) <= 0:
-                report.append(f"node {n}: nonpositive density in equivalent mode")
-    return report
 
 
 def _coefficients(
@@ -281,62 +235,6 @@ def density_process(
             sum(w * d[i] for w, d in zip(weights, extremes)) for i in range(k)
         )
     return DensityProcess.from_ratios(tree, ratios)
-
-
-def paste(
-    tree: EventTree,
-    z1: DensityProcess,
-    z2: DensityProcess,
-    v: int,
-    event: Iterable[str],
-) -> DensityProcess:
-    """Follow Z1's ratios before time ``v``; from ``v`` on, switch to Z2 on
-    the event and keep Z1 off it.
-
-    ``event`` must be a union of time-``v`` atoms.  The result is a genuine
-    reference-martingale whose conditional ratios from time ``v`` onward agree
-    with the selected component.  (A time-indexed mixture of the two z
-    processes would reproduce the same conditional ratios after ``v`` but
-    would generally fail the martingale property before ``v``; only the
-    conditional ratios after the switch are ever used, so ratio pasting is the
-    faithful construction.)
-    """
-    atoms = set(tree.atoms_at(v))
-    event_set = set(event)
-    bad = event_set - atoms
-    if bad:
-        raise NotMeasurableError(
-            f"event contains nodes not at time {v}: {sorted(bad)}"
-        )
-    ratios: dict[str, tuple[float, ...]] = {}
-    for n in tree.decision_nodes(tree.root):
-        if tree.time(n) < v:
-            ratios[n] = z1.ratio_at(n)
-        else:
-            anchor = tree.ancestor_at(n, v)
-            ratios[n] = z2.ratio_at(n) if anchor in event_set else z1.ratio_at(n)
-    return DensityProcess.from_ratios(tree, ratios)
-
-
-def convex_combine(
-    tree: EventTree, z1: DensityProcess, z2: DensityProcess, x: float
-) -> DensityProcess:
-    """Node-wise convex combination x*Z1 + (1-x)*Z2 of two density processes."""
-    if not 0.0 <= x <= 1.0:
-        raise InvalidSelectionError(f"weight {x:g} outside [0, 1]")
-    z = {
-        n: x * z1.z[n] + (1.0 - x) * z2.z[n]
-        for n in tree.nodes()
-    }
-    ratios: dict[str, tuple[float, ...]] = {}
-    for n in tree.decision_nodes(tree.root):
-        children = tree.children(n)
-        if z[n] > 0:
-            ratios[n] = tuple(z[c] / z[n] for c in children)
-        else:
-            # null atom: any martingale ratio is consistent; keep the reference
-            ratios[n] = tuple(1.0 for _ in children)
-    return DensityProcess(ratio=ratios, z=z)
 
 
 def bayes_conditional(

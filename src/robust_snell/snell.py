@@ -249,45 +249,6 @@ def extract_optimal_prior(
 
 
 @dataclass(frozen=True)
-class SupermartingaleReport:
-    node_ok: Mapping[str, bool]
-    passed: bool
-    worst_excess: float
-    worst_node: str | None
-
-
-def check_supermartingale_family(
-    tree: EventTree,
-    family: AdaptedFamily,
-    priors: PriorSet,
-    tol: float = DEFAULT_TOL,
-) -> SupermartingaleReport:
-    """One-step supermartingale test under every extreme of the class.
-
-    For a pasting-stable hull the one-step criterion at every node is
-    equivalent to the two-stopping-time definition.
-    """
-    node_ok: dict[str, bool] = {}
-    worst_excess = float("-inf")
-    worst_node = None
-    for n in tree.decision_nodes(tree.root):
-        q = tree.q_vector(n)
-        child_values = [family[c] for c in tree.children(n)]
-        best = max(step(q, d, child_values) for d in priors.extremes(n))
-        excess = best - family[n]
-        node_ok[n] = excess <= tol * max(1.0, abs(family[n]))
-        if excess > worst_excess:
-            worst_excess = excess
-            worst_node = n
-    return SupermartingaleReport(
-        node_ok=node_ok,
-        passed=all(node_ok.values()) if node_ok else True,
-        worst_excess=worst_excess if node_ok else 0.0,
-        worst_node=worst_node,
-    )
-
-
-@dataclass(frozen=True)
 class CertificateReport:
     """Necessary-and-sufficient optimality certificate for a (rule, prior) pair.
 

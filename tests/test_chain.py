@@ -13,15 +13,14 @@ from robust_snell import (
     bayes_conditional,
     check_optimality_certificate,
     count_rules,
-    expected_value_q,
     extract_optimal_prior,
     fixtures,
-    max_rule,
     solve,
     stop_at_time_rule,
     u_star,
 )
 from robust_snell import cli, snell
+from reference import expected_value_q, max_rule
 
 STEPS = 5000
 LAST = f"c{STEPS}"

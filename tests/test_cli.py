@@ -1,9 +1,14 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import robust_snell
 from robust_snell import NonFiniteValueError, fixtures, solve, u_alpha
 from robust_snell.cli import CSV_COLUMNS, run, write_nodes_csv, write_summary
 
@@ -139,6 +144,41 @@ class TestDeterminism:
         assert (out1 / "nodes.csv").read_bytes() == (out2 / "nodes.csv").read_bytes()
 
 
+class TestModuleEntryPoint:
+    """``python -m robust_snell``, the entry point the benchmark runs."""
+
+    @staticmethod
+    def run_module(tmp_path, config_path):
+        src = str(Path(robust_snell.__file__).resolve().parents[1])
+        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        outdir = tmp_path / "module"
+        result = subprocess.run(
+            [sys.executable, "-m", "robust_snell", "solve",
+             "--config", str(config_path), "--out", str(outdir)],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        return result, outdir
+
+    def test_solve_writes_the_bytes_of_run(self, tmp_path):
+        config = fixtures.config_path("tt1")
+        result, outdir = self.run_module(tmp_path, config)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == result.stderr == ""
+        _, expected = run_command(tmp_path, "solve", config, "in_process")
+        for name in ("summary.json", "nodes.csv"):
+            assert (outdir / name).read_bytes() == (expected / name).read_bytes()
+
+    def test_bad_config_exits_2(self, tmp_path):
+        config = write_config(tmp_path, {"tree": {"horizon": 1, "nodes": []}})
+        result, outdir = self.run_module(tmp_path, config)
+        assert result.returncode == 2
+        assert result.stderr.startswith("robust-snell: invalid configuration:")
+        assert not outdir.exists()
+
+
 class TestExitCodes:
     def test_invalid_probability_sum(self, tmp_path, capsys):
         config = write_config(
@@ -217,6 +257,20 @@ class TestExitCodes:
         )
         code, _ = run_command(tmp_path, "solve", config)
         assert code == 4
+
+    @pytest.mark.parametrize("command", ["solve", "oracle", "decompose"])
+    def test_negative_component_after_a_zero_in_equivalent_mode(
+        self, tmp_path, capsys, command
+    ):
+        # the zero is a boundary point of the open set, but the -0.5 after it
+        # is no density in either mode
+        payload = json.loads(fixtures.config_path("tt3").read_text())
+        payload["priors"]["node_extremes"]["r"] = [[0.0, -0.5, 3.5], [1, 1, 1]]
+        payload["mode"] = "equivalent"
+        code, outdir = run_command(tmp_path, command, write_config(tmp_path, payload))
+        assert code == 2
+        assert "negative density component -0.5" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_interval_generator_on_explicit_tree(self, tmp_path):
         config = write_config(

@@ -22,9 +22,7 @@ from robust_snell import (
     NotASupermartingaleError,
     PriorSet,
     density_process,
-    doob,
     flat_off_check,
-    kw_project,
     node_subspace_basis,
     premise_check,
     random_instance,
@@ -47,6 +45,7 @@ from robust_snell.pricing import (
     drift_ambiguity_priors,
     knockin_payoff,
 )
+from reference import doob, kw_project
 
 
 class TestDoob:
@@ -435,7 +434,7 @@ def star_nodes(draw):
     tree, priors = one_step(q, points)
     basis = node_subspace_basis(tree, priors, "r")
     assume(basis)
-    # extremes are densities, which ``validate_prior_set`` requires to be
+    # extremes are densities, which ``structural_violations`` requires to be
     # nonnegative; the vertex rule presumes they lie in the slice
     vertices = [[max(0.0, x) for x in v] for v in reference_vertices(q, basis)]
     drop = draw(st.one_of(st.none(), st.integers(0, max(0, len(vertices) - 1))))
@@ -528,7 +527,7 @@ NEAR_HULL_CASE = (
 
 
 # drawn with its third component at -5e-12, the first extreme lay outside the
-# slice (``validate_prior_set`` refuses a negative component), and the slice
+# slice (``structural_violations`` refuses a negative component), and the slice
 # vertex (0, 0, 0, 5e-6, 5) was in the hull of the extremes but none of them,
 # so the hull LP and the vertex rule disagreed; ``star_nodes`` now clips
 # vertex components at 0, which gives this draw

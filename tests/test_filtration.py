@@ -16,14 +16,18 @@ from robust_snell import (
     build_crr_barrier_tree,
     count_rules,
     enumerate_rules,
-    expected_value_q,
     first_entry_rule,
-    max_rule,
-    min_rule,
     random_instance,
-    step_expectation_q,
     stop_at_time_rule,
     validate_tree,
+)
+from reference import (
+    expected_value_q,
+    leaves_below,
+    max_rule,
+    min_rule,
+    step_expectation_q,
+    validate_rule,
 )
 
 
@@ -65,6 +69,20 @@ class TestStoredFacts:
         finally:
             tracemalloc.stop()
         assert size / len(tree.nodes()) <= 480
+
+    def test_construction_transient_bytes_per_node(self, crr_put):
+        # what construction allocates beyond what the tree keeps: child ids
+        # are grouped by parent, so no leaf gets a list
+        built = build_crr_barrier_tree(crr_put)
+        records = [built.node(n) for n in built.nodes()]
+        tracemalloc.start()
+        try:
+            tree = EventTree(horizon=built.horizon, records=records)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.children(tree.root) == built.children(built.root)
+        assert (peak - kept) / len(records) <= 40
 
 
 class TestValidateTree:
@@ -188,7 +206,7 @@ class TestRuleAlgebra:
     def test_lattice_laws_all_pairs(self, tt4):
         tree = tt4.tree
         rules = enumerate_rules(tree, "r")
-        leaves = tree.leaves_below("r")
+        leaves = leaves_below(tree, "r")
         for r1, r2 in itertools.product(rules, rules):
             lo = min_rule(tree, r1, r2)
             hi = max_rule(tree, r1, r2)
@@ -235,7 +253,7 @@ class TestRuleValidation:
 
         rule = StoppingRule(labels={"r": True}, floor="r", strict=True)
         assert any(
-            "strict rule stops" in msg for msg in rule.validate(tt4.tree)
+            "strict rule stops" in msg for msg in validate_rule(tt4.tree, rule)
         )
 
     def test_path_without_stop_is_flagged(self, tt4):
@@ -245,13 +263,13 @@ class TestRuleValidation:
             labels={"r": False, "u": True, "d": False, "du": True, "dd": False},
             floor="r",
         )
-        report = rule.validate(tt4.tree)
+        report = validate_rule(tt4.tree, rule)
         assert any("never stops" in msg for msg in report)
 
     def test_enumerated_and_derived_rules_are_valid(self, tt4):
         sub_rules = enumerate_rules(tt4.tree, "u", strict=True)
         for rule in sub_rules:
-            assert rule.validate(tt4.tree) == []
+            assert validate_rule(tt4.tree, rule) == []
 
 
 class TestEnumeration:
@@ -269,7 +287,7 @@ class TestEnumeration:
         cuts = {rule.cut(tree) for rule in rules}
         assert len(cuts) == len(rules)
         for rule in rules:
-            assert rule.validate(tree) == []
+            assert validate_rule(tree, rule) == []
 
     def test_strict_rules_continue_at_floor(self, tt4):
         for rule in enumerate_rules(tt4.tree, "r", strict=True):

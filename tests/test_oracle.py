@@ -9,14 +9,12 @@ from robust_snell import (
     NodeRecord,
     PriorSet,
     SizeGuardError,
-    brute_force_strict_value,
     brute_force_value,
     build_crr_barrier_tree,
     crosscheck,
     density_process,
     drift_ambiguity_priors,
     enumerate_rules,
-    expected_value_q,
     extreme_selections,
     fixtures,
     gamma,
@@ -27,6 +25,7 @@ from robust_snell import (
 )
 from robust_snell import filtration, oracle
 from robust_snell.filtration import step
+from reference import brute_force_strict_value, expected_value_q
 
 
 class TestBruteForce:

@@ -13,14 +13,16 @@ from robust_snell import (
     UndefinedConditionalError,
     bayes_conditional,
     build_crr_barrier_tree,
-    convex_combine,
     density_process,
     drift_ambiguity_priors,
-    expected_value_q,
     extreme_selections,
-    paste,
     random_instance,
     stop_at_time_rule,
+)
+from reference import (
+    convex_combine,
+    expected_value_q,
+    paste,
     validate_density_process,
     validate_prior_set,
 )

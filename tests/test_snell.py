@@ -21,7 +21,6 @@ from robust_snell import (
     brute_force_value,
     build_crr_barrier_tree,
     check_optimality_certificate,
-    check_supermartingale_family,
     crosscheck,
     density_process,
     drift_ambiguity_priors,
@@ -43,6 +42,7 @@ from robust_snell import filtration, snell
 from robust_snell import priors as priors_module
 from robust_snell.filtration import step
 from robust_snell.snell import DEFAULT_TOL
+from reference import check_supermartingale_family
 
 
 def classical_snell(tree, payoff):
