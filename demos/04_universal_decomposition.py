@@ -44,4 +44,4 @@ print("drift increasing:", dec_single.diagnostics.C_increasing)
 print("drift equals the predictable part:",
       all(abs(dec_single.C[n] - dec_single.A_q[n]) < 1e-12 for n in tt4.tree.nodes()))
 print("drift flat before the optimal stop:",
-      flat_off_check(dec_single, tt4.tree, rule, "r"))
+      flat_off_check(dec_single, tt4.tree, rule))

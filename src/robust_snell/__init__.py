@@ -23,8 +23,6 @@ from .errors import (
     InvalidTreeError,
     MissingStateError,
     NonFiniteValueError,
-    NotASupermartingaleError,
-    NotMeasurableError,
     RobustSnellError,
     SizeGuardError,
     UnattainedSupremumError,

@@ -48,6 +48,7 @@ from .pricing import (
 from .priors import MODE_CLOSURE, MODE_EQUIVALENT, PriorSet
 from .snell import (
     DEFAULT_TOL,
+    SnellSolution,
     check_optimality_certificate,
     extract_optimal_prior,
     solve,
@@ -416,14 +417,12 @@ def _solve_columns(cfg: RunConfig, solution, cut_star, z_star):
     return columns
 
 
-def cmd_solve(cfg: RunConfig, outdir: Path) -> int:
-    solution = solve(cfg.tree, cfg.payoff, cfg.priors, tol=cfg.tolerance)
+def cmd_solve(cfg: RunConfig, solution: SnellSolution) -> tuple[dict, dict]:
     rule_star = u_star(solution, cfg.payoff, cfg.v)
     cut_star = rule_star.cut(cfg.tree)
     z_star = extract_optimal_prior(solution, cfg.tree, cfg.priors, cfg.v)
     certificate = check_optimality_certificate(
-        cfg.tree, cfg.payoff, cfg.priors, rule_star, z_star, tol=cfg.tolerance,
-        solution=solution,
+        cfg.tree, cfg.payoff, cfg.priors, rule_star, z_star, solution=solution
     )
     star_stops = _rule_stop_list(cfg.tree, cut_star)
     alpha_stops = {}
@@ -433,10 +432,7 @@ def cmd_solve(cfg: RunConfig, outdir: Path) -> int:
         else:
             cut = u_alpha(solution, cfg.payoff, cfg.v, a).cut(cfg.tree)
             alpha_stops[_fmt(a)] = _rule_stop_list(cfg.tree, cut)
-    summary = {
-        "command": "solve",
-        "seed": cfg.seed,
-        "mode": cfg.priors.mode,
+    fields = {
         "v": cfg.v,
         "R_root": solution.R[cfg.tree.root],
         "R_plus_root": solution.R_plus[cfg.tree.root],
@@ -447,38 +443,26 @@ def cmd_solve(cfg: RunConfig, outdir: Path) -> int:
         "u_alpha_stops": alpha_stops,
         "certificate": dataclasses.asdict(certificate),
     }
-    columns = _solve_columns(cfg, solution, cut_star, z_star)
-    _write_outputs(outdir, cfg.tree, summary, columns)
-    return 0
+    return fields, _solve_columns(cfg, solution, cut_star, z_star)
 
 
-def cmd_oracle(cfg: RunConfig, outdir: Path) -> int:
-    solution = solve(cfg.tree, cfg.payoff, cfg.priors, tol=cfg.tolerance)
+def cmd_oracle(cfg: RunConfig, solution: SnellSolution) -> tuple[dict, dict]:
     report = crosscheck(cfg.tree, cfg.payoff, cfg.priors, solution=solution)
-    summary = {
-        "command": "oracle",
-        "seed": cfg.seed,
-        "mode": cfg.priors.mode,
+    fields = {
         "max_deviation": report.max_deviation,
         "max_deviation_R": report.max_deviation_R,
         "max_deviation_R_plus": report.max_deviation_R_plus,
         "nodes_checked": report.nodes_checked,
     }
-    columns = _solve_columns(cfg, solution, None, None)
-    _write_outputs(outdir, cfg.tree, summary, columns)
-    return 0
+    return fields, _solve_columns(cfg, solution, None, None)
 
 
-def cmd_decompose(cfg: RunConfig, outdir: Path) -> int:
-    solution = solve(cfg.tree, cfg.payoff, cfg.priors, tol=cfg.tolerance)
+def cmd_decompose(cfg: RunConfig, solution: SnellSolution) -> tuple[dict, dict]:
     rule_star = u_star(solution, cfg.payoff, cfg.v)
     decomp = universal_decompose(cfg.tree, solution, cfg.priors)
-    flat = flat_off_check(decomp, cfg.tree, rule_star, cfg.v)
+    flat = flat_off_check(decomp, cfg.tree, rule_star)
     diag = decomp.diagnostics
-    summary = {
-        "command": "decompose",
-        "seed": cfg.seed,
-        "mode": cfg.priors.mode,
+    fields = {
         "v": cfg.v,
         "X0": decomp.X0,
         "C_increasing": diag.C_increasing,
@@ -492,31 +476,23 @@ def cmd_decompose(cfg: RunConfig, outdir: Path) -> int:
     columns["C"] = decomp.C.values
     columns["K"] = decomp.K.values
     columns["A_q"] = decomp.A_q.values
-    _write_outputs(outdir, cfg.tree, summary, columns)
-    return 0
+    return fields, columns
 
 
-def cmd_price(cfg: RunConfig, outdir: Path) -> int:
-    if cfg.crr is None:
-        raise ConfigError("the price command needs a crr block")
-    solution = solve(cfg.tree, cfg.payoff, cfg.priors, tol=cfg.tolerance)
+def cmd_price(cfg: RunConfig, solution: SnellSolution) -> tuple[dict, dict]:
     cut_star = u_star(solution, cfg.payoff, cfg.v).cut(cfg.tree)
     z_star = extract_optimal_prior(solution, cfg.tree, cfg.priors, cfg.v)
-    result = price_from_solution(cfg.crr, cfg.tree, cfg.payoff, cfg.priors, solution)
-    summary = {
-        "command": "price",
-        "seed": cfg.seed,
-        "mode": cfg.priors.mode,
+    result = price_from_solution(cfg.crr, solution)
+    fields = {
         "H_S": result.hedging_price,
         "exercise_boundary": result.exercise_boundary,
         "optimal_prior_summary": result.node_up_probability,
         "attained": solution.attained,
     }
-    columns = _solve_columns(cfg, solution, cut_star, z_star)
-    _write_outputs(outdir, cfg.tree, summary, columns)
-    return 0
+    return fields, _solve_columns(cfg, solution, cut_star, z_star)
 
 
+#: each command turns the solved run into its summary fields and CSV columns
 _COMMANDS = {
     "solve": cmd_solve,
     "oracle": cmd_oracle,
@@ -553,7 +529,15 @@ def run(argv: Sequence[str]) -> int:
     args = parser.parse_args(list(argv))
     try:
         cfg = parse_config(args.config)
-        return _COMMANDS[args.command](cfg, Path(args.out))
+        if args.command == "price" and cfg.crr is None:
+            raise ConfigError("the price command needs a crr block")
+        solution = solve(cfg.tree, cfg.payoff, cfg.priors, tol=cfg.tolerance)
+        fields, columns = _COMMANDS[args.command](cfg, solution)
+        summary = {
+            "command": args.command, "seed": cfg.seed, "mode": cfg.priors.mode, **fields
+        }
+        _write_outputs(Path(args.out), cfg.tree, summary, columns)
+        return 0
     except _CONFIG_ERRORS as exc:
         print(f"robust-snell: invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -299,21 +299,12 @@ def universal_decompose(
 
 
 def flat_off_check(
-    decomposition: Decomposition,
-    tree: EventTree,
-    rule: StoppingRule,
-    v: str,
+    decomposition: Decomposition, tree: EventTree, rule: StoppingRule
 ) -> bool:
-    """True when C never moves between ``v`` and the rule's stop on any path."""
+    """True when C never moves between the rule's floor and its stop on any
+    path; raises InvalidRuleError when some path never stops."""
     C = decomposition.C
-    base = C[v]
-    stack = [(v, rule.stops_at(v))]
-    while stack:
-        n, stopped = stack.pop()
-        if abs(C[n] - base) > FLAT_TOL:
-            return False
-        if stopped:
-            continue
-        for c in tree.children(n):
-            stack.append((c, rule.stops_at(c)))
-    return True
+    base = C[rule.floor]
+    walk = rule.walk(tree)
+    nodes = itertools.chain((n for n, _ in walk.continuation), walk.cut)
+    return all(abs(C[n] - base) <= FLAT_TOL for n in nodes)

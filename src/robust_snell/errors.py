@@ -33,14 +33,6 @@ class UndefinedConditionalError(RobustSnellError):
     """Conditioning on an atom that carries zero mass under the chosen density."""
 
 
-class NotASupermartingaleError(RobustSnellError):
-    """A decomposition was requested for a family that is not a supermartingale."""
-
-
-class NotMeasurableError(RobustSnellError):
-    """An event is not a union of atoms of the required sigma-field."""
-
-
 class SizeGuardError(RobustSnellError):
     """An exhaustive enumeration would exceed the configured size guard."""
 

@@ -243,17 +243,15 @@ class AdaptedFamily:
         return AdaptedFamily({k: factor * v for k, v in self.values.items()})
 
 
-def validate_family(
-    tree: EventTree, family: AdaptedFamily, require_nonnegative: bool = False
-) -> list[str]:
-    """Check that a family is finite on every node (and nonnegative if asked)."""
+def validate_family(tree: EventTree, family: AdaptedFamily) -> list[str]:
+    """Check that a family is finite and nonnegative on every node."""
     report = []
     for n in tree.nodes():
         if n not in family:
             report.append(f"family undefined at node {n}")
         elif not math.isfinite(family[n]):
             report.append(f"family not finite at node {n}: {family[n]:g}")
-        elif require_nonnegative and family[n] < 0:
+        elif family[n] < 0:
             report.append(f"family negative at node {n}: {family[n]:g}")
     return report
 

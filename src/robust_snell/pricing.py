@@ -187,10 +187,6 @@ class PriceResult:
     hedging_price: float
     exercise_boundary: tuple[str, ...]
     node_up_probability: Mapping[str, float]
-    solution: SnellSolution
-    tree: EventTree
-    payoff: AdaptedFamily
-    priors: PriorSet
 
 
 def price(
@@ -207,17 +203,12 @@ def price(
     payoff = knockin_payoff(tree, params)
     priors = drift_ambiguity_priors(tree, params, mode=mode)
     solution = solve(tree, payoff, priors, tol=tol)
-    return price_from_solution(params, tree, payoff, priors, solution)
+    return price_from_solution(params, solution)
 
 
-def price_from_solution(
-    params: CrrParams,
-    tree: EventTree,
-    payoff: AdaptedFamily,
-    priors: PriorSet,
-    solution: SnellSolution,
-) -> PriceResult:
+def price_from_solution(params: CrrParams, solution: SnellSolution) -> PriceResult:
     """Price, exercise boundary and maximizing up-probabilities of a solved tree."""
+    tree = solution.tree
     ps = up_probabilities(params.ambiguity)
     node_p = {
         n: ps[solution.argmax_extreme[n]] for n in tree.decision_nodes(tree.root)
@@ -227,8 +218,4 @@ def price_from_solution(
         hedging_price=solution.R[tree.root],
         exercise_boundary=boundary,
         node_up_probability=node_p,
-        solution=solution,
-        tree=tree,
-        payoff=payoff,
-        priors=priors,
     )

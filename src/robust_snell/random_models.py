@@ -19,15 +19,12 @@ _SELECTION_BUDGET = 512
 
 
 def random_instance(
-    seed: int,
-    max_periods: int = 3,
-    max_children: int = 3,
-    max_extremes: int = 3,
-    single_prior: bool = False,
+    seed: int, single_prior: bool = False
 ) -> tuple[EventTree, AdaptedFamily, PriorSet]:
-    """One random tree with a nonnegative reward and a valid prior set."""
+    """One random tree of 1 to 3 periods, with 2 or 3 children and 1 to 3
+    extremes per node, a nonnegative reward and a valid prior set."""
     rng = random.Random(seed)
-    periods = rng.randint(1, max_periods)
+    periods = rng.randint(1, 3)
     records = [NodeRecord(id="n0", time=0)]
     payoff = {"n0": round(rng.uniform(0.0, 5.0), 6)}
     frontier = ["n0"]
@@ -36,8 +33,7 @@ def random_instance(
         next_frontier = []
         for parent in frontier:
             # bias deep trees toward binary branching to keep rule counts small
-            hi = 2 if periods == 3 and max_children >= 3 else max_children
-            k = rng.randint(2, max(2, hi))
+            k = rng.randint(2, 2 if periods == 3 else 3)
             raw = [rng.uniform(0.15, 1.0) for _ in range(k)]
             total = sum(raw)
             for i in range(k):
@@ -60,7 +56,7 @@ def random_instance(
             n_ext = 1
             extreme_points[n] = [tuple(1.0 for _ in range(k))]
             continue
-        n_ext = rng.randint(1, max_extremes)
+        n_ext = rng.randint(1, 3)
         while n_ext > 1 and budget // n_ext < 1:
             n_ext -= 1
         budget = max(1, budget // max(1, n_ext))
@@ -74,8 +70,8 @@ def random_instance(
     return tree, AdaptedFamily(payoff), priors
 
 
-def random_crr_params(seed: int, max_steps: int = 3) -> CrrParams:
-    """One random parameter set for the barrier put."""
+def random_crr_params(seed: int) -> CrrParams:
+    """One random parameter set for the barrier put, of 1 to 3 steps."""
     rng = random.Random(seed)
     s0 = rng.uniform(1.0, 10.0)
     lo = rng.uniform(0.1, 0.85)
@@ -84,7 +80,7 @@ def random_crr_params(seed: int, max_steps: int = 3) -> CrrParams:
         S0=s0,
         up=rng.uniform(1.1, 3.0),
         down=rng.uniform(0.2, 0.9),
-        steps=rng.randint(1, max_steps),
+        steps=rng.randint(1, 3),
         rate=rng.uniform(0.0, 0.1),
         K=rng.uniform(0.5 * s0, 2.0 * s0),
         H=rng.uniform(0.2 * s0, 1.5 * s0),

@@ -54,6 +54,9 @@ DEFAULT_TOL = 1e-9
 #: absolute tolerance of the value identities checked by enumeration
 IDENTITY_TOL = 1e-10
 
+#: the fractions alpha whose alpha-rules the value identities are checked at
+IDENTITY_ALPHAS = (0.2, 0.4, 0.6, 0.8, 0.95, 1.0)
+
 #: extremes whose continuation value is within this much of the best, relative
 #: to the best (at least 1), tie for the maximum in equivalent mode
 TIE_TOL = 1e-12
@@ -85,8 +88,8 @@ class SnellSolution:
     ``stop_region`` collects the nodes where the value touches the reward
     (within a relative tolerance); ``argmax_extreme`` records, per decision
     node, the lowest-index extreme attaining the continuation supremum.
-    ``attained`` reports whether every per-node supremum is attained inside
-    the configured prior mode.
+    ``unattained`` lists, in the order ``solve`` visits them, the decision
+    nodes whose supremum is not attained inside the configured prior mode.
     """
 
     tree: EventTree
@@ -94,9 +97,13 @@ class SnellSolution:
     R_plus: AdaptedFamily
     argmax_extreme: Mapping[str, int]
     stop_region: frozenset[str]
-    attained: bool
-    attained_at: Mapping[str, bool] = field(default_factory=dict)
+    unattained: tuple[str, ...]
     tol: float = DEFAULT_TOL
+
+    @property
+    def attained(self) -> bool:
+        """Whether every per-node supremum is attained in the prior mode."""
+        return not self.unattained
 
 
 def solve(
@@ -109,7 +116,7 @@ def solve(
     tree_report = validate_tree(tree)
     if tree_report:
         raise InvalidTreeError("; ".join(tree_report))
-    family_report = validate_family(tree, payoff, require_nonnegative=True)
+    family_report = validate_family(tree, payoff)
     if family_report:
         raise InvalidFamilyError("; ".join(family_report))
     prior_report = structural_violations(tree, priors)
@@ -119,7 +126,7 @@ def solve(
     R: dict[str, float] = {}
     R_plus: dict[str, float] = {}
     argmax: dict[str, int] = {}
-    attained_at: dict[str, bool] = {}
+    unattained: list[str] = []
 
     for n in tree.nodes_by_time(descending=True):
         if tree.is_terminal(n):
@@ -137,9 +144,10 @@ def solve(
         argmax[n] = values.index(best)
         # in equivalent mode, the maximizing face contains a strictly positive
         # ratio iff every coordinate is positive on at least one maximizer
-        attained_at[n] = priors.mode == MODE_CLOSURE or all(
+        if priors.mode != MODE_CLOSURE and not all(
             any(x > 0 for x in column) for column in zip(*_maximizers(extremes, values))
-        )
+        ):
+            unattained.append(n)
 
     stop_region = frozenset(n for n in tree.nodes() if _covers(R[n], payoff[n], tol))
     return SnellSolution(
@@ -148,8 +156,7 @@ def solve(
         R_plus=AdaptedFamily(R_plus),
         argmax_extreme=argmax,
         stop_region=stop_region,
-        attained=all(attained_at.values()) if attained_at else True,
-        attained_at=attained_at,
+        unattained=tuple(unattained),
         tol=tol,
     )
 
@@ -205,8 +212,8 @@ def extract_optimal_prior(
     extreme at some ancestor charges the path: then no model of the class
     charges ``v``.
     """
-    if not solution.attained:
-        bad = [n for n, ok in solution.attained_at.items() if not ok]
+    if solution.unattained:
+        bad = list(solution.unattained)
         raise UnattainedSupremumError(
             f"supremum unattained in equivalent mode at nodes {bad}; "
             f"sup value at {v!r} is {solution.R[v]:.17g}",
@@ -276,11 +283,12 @@ def check_optimality_certificate(
     solution: SnellSolution | None = None,
 ) -> CertificateReport:
     """Test a (rule, prior) pair; ``solution`` reuses a backward induction
-    already run on the same inputs instead of solving again."""
+    already run on the same inputs instead of solving again, and then its
+    ``tol``, the one its stop region was decided with, replaces ``tol``."""
     v = rule.floor
     if solution is None:
         solution = solve(tree, payoff, priors, tol=tol)
-    R = solution.R
+    R, tol = solution.R, solution.tol
     walk = rule.walk(tree)
     cond1 = all(
         process.z.get(s, 0.0) <= 0 or _covers(R[s], payoff[s], tol) for s in walk.cut
@@ -347,20 +355,15 @@ def verify_value_identities(
     payoff: AdaptedFamily,
     priors: PriorSet,
     solution: SnellSolution,
-    alphas: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 0.95, 1.0),
-    measures: Sequence[DensityProcess] | None = None,
-    taus: Sequence[StoppingRule] | None = None,
-    v: str | None = None,
-    tol: float = IDENTITY_TOL,
 ) -> IdentityReport:
     """Verify the structural identities of the value families by enumeration.
 
-    Checks, in order:
+    Each check compares to ``IDENTITY_TOL`` from the root.  Checks, in order:
 
     - the value equals the max of the reward and the strict value at every
       node (exact recursion identity);
-    - for each alpha, the value at every node equals the best conditional
-      value of itself stopped at the alpha-rule;
+    - for each alpha in ``IDENTITY_ALPHAS``, the value at every node equals
+      the best conditional value of itself stopped at the alpha-rule;
     - the tower identity for the strict value: its conditional expectation
       under a fixed prior up to a stop equals the best reward over strictly
       later stops when the prior may be re-chosen afterwards;
@@ -368,16 +371,11 @@ def verify_value_identities(
       general under genuine ambiguity and is reported (not gated) with both
       sides.
     """
-    v = tree.root if v is None else v
-    if measures is None:
-        measures = [DensityProcess.reference(tree)]
-        for sel in extreme_selections(tree, priors, tree.root)[:8]:
-            measures.append(density_process(tree, priors, sel))
-    if taus is None:
-        taus = [
-            stop_at_time_rule(tree, t, v)
-            for t in range(tree.time(v), tree.horizon + 1)
-        ]
+    v = tree.root
+    measures = [DensityProcess.reference(tree)]
+    for sel in extreme_selections(tree, priors, v)[:8]:
+        measures.append(density_process(tree, priors, sel))
+    taus = [stop_at_time_rule(tree, t, v) for t in range(tree.horizon + 1)]
 
     checks: list[IdentityCheck] = []
 
@@ -388,7 +386,7 @@ def verify_value_identities(
     checks.append(
         IdentityCheck(
             name="value_is_max_of_reward_and_strict_value",
-            passed=dev_max <= tol,
+            passed=dev_max <= IDENTITY_TOL,
             worst_deviation=dev_max,
             gating=True,
         )
@@ -397,7 +395,7 @@ def verify_value_identities(
     # value equals the best continuation to the alpha-rule, all nodes, all alphas
     dev_alpha = 0.0
     worst_detail: dict[str, object] = {}
-    for alpha in alphas:
+    for alpha in IDENTITY_ALPHAS:
         for n in tree.nodes():
             rule = u_alpha(solution, payoff, n, alpha)
             lhs = solution.R[n]
@@ -409,7 +407,7 @@ def verify_value_identities(
     checks.append(
         IdentityCheck(
             name="value_equals_best_continuation_to_alpha_rule",
-            passed=dev_alpha <= tol,
+            passed=dev_alpha <= IDENTITY_TOL,
             worst_deviation=dev_alpha,
             gating=True,
             details=worst_detail,
@@ -462,7 +460,7 @@ def verify_value_identities(
     checks.append(
         IdentityCheck(
             name="strict_value_tower_with_repasted_priors",
-            passed=dev_tower <= tol,
+            passed=dev_tower <= IDENTITY_TOL,
             worst_deviation=dev_tower,
             gating=True,
             details=tower_detail,
@@ -471,7 +469,7 @@ def verify_value_identities(
     checks.append(
         IdentityCheck(
             name="strict_value_tower_with_fixed_prior",
-            passed=literal_dev <= tol,
+            passed=literal_dev <= IDENTITY_TOL,
             worst_deviation=literal_dev,
             gating=False,
             details={"entries": tuple(literal_entries)},

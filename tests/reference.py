@@ -24,9 +24,8 @@ from robust_snell import (
     InvalidFamilyError,
     InvalidSelectionError,
     InvalidTreeError,
-    NotASupermartingaleError,
-    NotMeasurableError,
     PriorSet,
+    RobustSnellError,
     StoppingRule,
     first_entry_rule,
 )
@@ -51,6 +50,14 @@ DOOB_TOL = 1e-9
 #: bound on an increment's reference mean, relative to its largest entry
 #: (at least 1)
 MEAN_TOL = 1e-9
+
+
+class NotASupermartingaleError(RobustSnellError):
+    """A decomposition was requested for a family that is not a supermartingale."""
+
+
+class NotMeasurableError(RobustSnellError):
+    """An event is not a union of atoms of the required sigma-field."""
 
 
 # -- trees and stopping rules ---------------------------------------------

@@ -258,6 +258,37 @@ class TestExitCodes:
         code, _ = run_command(tmp_path, "solve", config)
         assert code == 4
 
+    def test_unattained_supremum_names_every_node(self, tmp_path, capsys):
+        # (2, 0) and (0, 2) at every node: each supremum sits on one boundary
+        # density, listed in the order the backward induction meets them
+        ratios = [[2.0, 0.0], [0.0, 2.0]]
+        config = write_config(
+            tmp_path,
+            {
+                "tree": {
+                    "horizon": 2,
+                    "nodes": [
+                        {"id": "r", "time": 0, "Y": 0.0},
+                        {"id": "u", "time": 1, "parent": "r", "q": 0.5, "Y": 0.0},
+                        {"id": "d", "time": 1, "parent": "r", "q": 0.5, "Y": 0.0},
+                        {"id": "uu", "time": 2, "parent": "u", "q": 0.5, "Y": 5.0},
+                        {"id": "ud", "time": 2, "parent": "u", "q": 0.5, "Y": 1.0},
+                        {"id": "du", "time": 2, "parent": "d", "q": 0.5, "Y": 3.0},
+                        {"id": "dd", "time": 2, "parent": "d", "q": 0.5, "Y": 0.0},
+                    ],
+                },
+                "priors": {"node_extremes": {"r": ratios, "u": ratios, "d": ratios}},
+                "mode": "equivalent",
+            },
+        )
+        code, outdir = run_command(tmp_path, "solve", config)
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "robust-snell: unattained supremum: supremum unattained in equivalent "
+            "mode at nodes ['u', 'd', 'r']; sup value at 'r' is 5\n"
+        )
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("command", ["solve", "oracle", "decompose"])
     def test_negative_component_after_a_zero_in_equivalent_mode(
         self, tmp_path, capsys, command

@@ -18,9 +18,10 @@ from robust_snell import (
     AdaptedFamily,
     DensityProcess,
     EventTree,
+    InvalidRuleError,
     NodeRecord,
-    NotASupermartingaleError,
     PriorSet,
+    StoppingRule,
     density_process,
     flat_off_check,
     node_subspace_basis,
@@ -45,7 +46,7 @@ from robust_snell.pricing import (
     drift_ambiguity_priors,
     knockin_payoff,
 )
-from reference import doob, kw_project
+from reference import NotASupermartingaleError, doob, kw_project
 
 
 class TestDoob:
@@ -744,7 +745,7 @@ class TestFlatOff:
         sol = solve(tree, payoff, priors)
         dec = universal_decompose(tree, sol, priors)
         rule = u_star(sol, payoff, "r")
-        assert flat_off_check(dec, tree, rule, "r") is True
+        assert flat_off_check(dec, tree, rule) is True
 
     def test_constant_reward_trivially_flat(self, tt4):
         payoff = AdaptedFamily.constant(tt4.tree, 1.0)
@@ -752,7 +753,7 @@ class TestFlatOff:
         dec = universal_decompose(tt4.tree, sol, tt4.priors)
         rule = u_star(sol, payoff, "r")
         assert rule.cut(tt4.tree) == frozenset({"r"})
-        assert flat_off_check(dec, tt4.tree, rule, "r") is True
+        assert flat_off_check(dec, tt4.tree, rule) is True
 
     def test_tt1_single_prior_stops_at_root(self, tt1):
         priors = PriorSet.singleton_reference(tt1.tree)
@@ -761,14 +762,14 @@ class TestFlatOff:
         dec = universal_decompose(tt1.tree, sol, priors)
         rule = u_star(sol, tt1.payoff, "r")
         assert rule.cut(tt1.tree) == frozenset({"r"})
-        assert flat_off_check(dec, tt1.tree, rule, "r") is True
+        assert flat_off_check(dec, tt1.tree, rule) is True
 
     def test_robust_tt4_drift_moves_before_stop(self, tt4):
         # with genuine ambiguity the premise fails and C moves immediately
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
         dec = universal_decompose(tt4.tree, sol, tt4.priors)
         rule = u_star(sol, tt4.payoff, "r")
-        assert flat_off_check(dec, tt4.tree, rule, "r") is False
+        assert flat_off_check(dec, tt4.tree, rule) is False
 
     def test_random_single_prior_always_flat(self):
         for seed in range(10):
@@ -776,4 +777,12 @@ class TestFlatOff:
             sol = solve(tree, payoff, priors)
             dec = universal_decompose(tree, sol, priors)
             rule = u_star(sol, payoff, tree.root)
-            assert flat_off_check(dec, tree, rule, tree.root) is True
+            assert flat_off_check(dec, tree, rule) is True
+
+    def test_rule_that_never_stops_raises(self, tt4):
+        sol = solve(tt4.tree, tt4.payoff, tt4.priors)
+        dec = universal_decompose(tt4.tree, sol, tt4.priors)
+        # stops at u, but nowhere on the paths through d
+        rule = StoppingRule(labels={"u": True}, floor="r")
+        with pytest.raises(InvalidRuleError, match="never stops"):
+            flat_off_check(dec, tt4.tree, rule)

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from robust_snell import fixtures
+from robust_snell import fixtures, random_crr_params, random_instance
 from robust_snell.cli import run
 
 
@@ -95,3 +95,29 @@ GOLDEN = {
 def test_output_matches_golden_digest(key, tmp_path):
     command, label = key.split(":")
     assert output_digest(command, label, tmp_path) == GOLDEN[key]
+
+
+#: sha256 over seeds 0-39 of random_instance, single- and multi-prior, and of
+#: random_crr_params: the property suites draw their cases from these
+RANDOM_MODELS = "a99bf669f303caf3e5b2d3e873210cc4cc19d2c24dd981926d7393f80a77d0f9"
+
+
+def instance_text(instance):
+    """The content of a random instance, without object identities."""
+    tree, payoff, priors = instance
+    nodes = [
+        (n, tree.time(n), tree.parent(n), tree.node(n).q, sorted(tree.node(n).states.items()))
+        for n in tree.nodes()
+    ]
+    values = [(n, payoff[n]) for n in tree.nodes()]
+    extremes = [(n, [tuple(d) for d in priors.extremes(n)]) for n in tree.decision_nodes(tree.root)]
+    return repr((tree.horizon, nodes, values, extremes, priors.mode))
+
+
+def test_random_models_match_golden_digest():
+    h = hashlib.sha256()
+    for seed in range(40):
+        h.update(instance_text(random_instance(seed)).encode())
+        h.update(instance_text(random_instance(seed, single_prior=True)).encode())
+        h.update(repr(random_crr_params(seed)).encode())
+    assert h.hexdigest() == RANDOM_MODELS

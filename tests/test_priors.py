@@ -7,7 +7,6 @@ from robust_snell import (
     DensityProcess,
     EventTree,
     InvalidSelectionError,
-    NotMeasurableError,
     PriorSet,
     SizeGuardError,
     UndefinedConditionalError,
@@ -20,6 +19,7 @@ from robust_snell import (
     stop_at_time_rule,
 )
 from reference import (
+    NotMeasurableError,
     convex_combine,
     expected_value_q,
     paste,
