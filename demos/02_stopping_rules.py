@@ -14,11 +14,11 @@ print("two-period put tree, value at the root:", sol.R["r"])
 print()
 print("alpha   stop nodes of the alpha-rule")
 for alpha in (0.2, 0.4, 0.6, 0.8, 0.95, 1.0):
-    rule = u_alpha(sol, cfg.payoff, "r", alpha)
+    rule = u_alpha(sol, "r", alpha)
     stops = [n for n in cfg.tree.nodes() if n in rule.cut(cfg.tree)]
     print(f"{alpha:5.2f}   {stops}")
 
-star = u_star(sol, cfg.payoff, "r")
+star = u_star(sol, "r")
 print()
 print("optimal rule stops at:", [n for n in cfg.tree.nodes() if n in star.cut(cfg.tree)])
 print("(every interior node still has value strictly above the reward, so the")

@@ -18,7 +18,7 @@ from robust_snell import (
 
 cfg = fixtures.load("tt3")
 sol = solve(cfg.tree, cfg.payoff, cfg.priors)
-dec = universal_decompose(cfg.tree, sol, cfg.priors)
+dec = universal_decompose(sol)
 
 print("three-branch tree under one-directional ambiguity")
 print("value at the root:", dec.X0)
@@ -38,8 +38,8 @@ print("single-measure contrast on the two-period put tree:")
 tt4 = fixtures.load("tt4")
 single = PriorSet.singleton_reference(tt4.tree)
 sol_single = solve(tt4.tree, tt4.payoff, single)
-dec_single = universal_decompose(tt4.tree, sol_single, single)
-rule = u_star(sol_single, tt4.payoff, "r")
+dec_single = universal_decompose(sol_single)
+rule = u_star(sol_single, "r")
 print("drift increasing:", dec_single.diagnostics.C_increasing)
 print("drift equals the predictable part:",
       all(abs(dec_single.C[n] - dec_single.A_q[n]) < 1e-12 for n in tt4.tree.nodes()))

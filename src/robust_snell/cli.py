@@ -404,7 +404,7 @@ def _solve_columns(cfg: RunConfig, solution, cut_star, z_star):
     """The engine's own mappings as CSV columns; ``cut_star`` is u*'s cut."""
     tree = cfg.tree
     columns: dict[str, Mapping[str, object]] = {
-        "Y": cfg.payoff.values,
+        "Y": solution.payoff.values,
         "R": solution.R.values,
         "R_plus": solution.R_plus.values,
         "stop": {n: (n in solution.stop_region) for n in tree.nodes()},
@@ -418,19 +418,17 @@ def _solve_columns(cfg: RunConfig, solution, cut_star, z_star):
 
 
 def cmd_solve(cfg: RunConfig, solution: SnellSolution) -> tuple[dict, dict]:
-    rule_star = u_star(solution, cfg.payoff, cfg.v)
+    rule_star = u_star(solution, cfg.v)
     cut_star = rule_star.cut(cfg.tree)
-    z_star = extract_optimal_prior(solution, cfg.tree, cfg.priors, cfg.v)
-    certificate = check_optimality_certificate(
-        cfg.tree, cfg.payoff, cfg.priors, rule_star, z_star, solution=solution
-    )
+    z_star = extract_optimal_prior(solution, cfg.v)
+    certificate = check_optimality_certificate(solution, rule_star, z_star)
     star_stops = _rule_stop_list(cfg.tree, cut_star)
     alpha_stops = {}
     for a in cfg.alphas:
         if a == 1.0:  # u_alpha at alpha = 1 is u*
             alpha_stops[_fmt(a)] = star_stops
         else:
-            cut = u_alpha(solution, cfg.payoff, cfg.v, a).cut(cfg.tree)
+            cut = u_alpha(solution, cfg.v, a).cut(cfg.tree)
             alpha_stops[_fmt(a)] = _rule_stop_list(cfg.tree, cut)
     fields = {
         "v": cfg.v,
@@ -458,8 +456,8 @@ def cmd_oracle(cfg: RunConfig, solution: SnellSolution) -> tuple[dict, dict]:
 
 
 def cmd_decompose(cfg: RunConfig, solution: SnellSolution) -> tuple[dict, dict]:
-    rule_star = u_star(solution, cfg.payoff, cfg.v)
-    decomp = universal_decompose(cfg.tree, solution, cfg.priors)
+    rule_star = u_star(solution, cfg.v)
+    decomp = universal_decompose(solution)
     flat = flat_off_check(decomp, cfg.tree, rule_star)
     diag = decomp.diagnostics
     fields = {
@@ -480,8 +478,8 @@ def cmd_decompose(cfg: RunConfig, solution: SnellSolution) -> tuple[dict, dict]:
 
 
 def cmd_price(cfg: RunConfig, solution: SnellSolution) -> tuple[dict, dict]:
-    cut_star = u_star(solution, cfg.payoff, cfg.v).cut(cfg.tree)
-    z_star = extract_optimal_prior(solution, cfg.tree, cfg.priors, cfg.v)
+    cut_star = u_star(solution, cfg.v).cut(cfg.tree)
+    z_star = extract_optimal_prior(solution, cfg.v)
     result = price_from_solution(cfg.crr, solution)
     fields = {
         "H_S": result.hedging_price,

@@ -247,15 +247,13 @@ class Decomposition:
     diagnostics: DecompositionDiagnostics
 
 
-def universal_decompose(
-    tree: EventTree, solution: SnellSolution, priors: PriorSet
-) -> Decomposition:
+def universal_decompose(solution: SnellSolution) -> Decomposition:
     """Split the value family into a same-for-all-priors martingale and a drift.
 
     Never raises on a failed premise: a decreasing C is the informative
     outcome and is reported through the diagnostics.
     """
-    R = solution.R
+    tree, R = solution.tree, solution.R
     M: dict[str, float] = {tree.root: 0.0}
     C: dict[str, float] = {tree.root: 0.0}
     K: dict[str, float] = {tree.root: 0.0}
@@ -264,7 +262,7 @@ def universal_decompose(
     scaling_closed: dict[str, bool] = {}
     min_delta_C = float("inf")
     residual = 0.0
-    for n, q, extremes, basis, full in _node_polytopes(tree, priors):
+    for n, q, extremes, basis, full in _node_polytopes(tree, solution.priors):
         full_slice[n] = full
         scaling_closed[n] = not basis
         children = tree.children(n)

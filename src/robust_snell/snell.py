@@ -44,7 +44,6 @@ from .priors import (
     bayes_conditional,
     density_process,
     extreme_selections,
-    guard_selection_count,
     structural_violations,
 )
 
@@ -83,7 +82,8 @@ def _maximizers(
 
 @dataclass(frozen=True)
 class SnellSolution:
-    """Output of the backward induction.
+    """Output of the backward induction, with the validated inputs it came
+    from: ``payoff``, ``priors`` and the tolerance ``tol``.
 
     ``stop_region`` collects the nodes where the value touches the reward
     (within a relative tolerance); ``argmax_extreme`` records, per decision
@@ -93,12 +93,14 @@ class SnellSolution:
     """
 
     tree: EventTree
+    payoff: AdaptedFamily
+    priors: PriorSet
+    tol: float
     R: AdaptedFamily
     R_plus: AdaptedFamily
     argmax_extreme: Mapping[str, int]
     stop_region: frozenset[str]
     unattained: tuple[str, ...]
-    tol: float = DEFAULT_TOL
 
     @property
     def attained(self) -> bool:
@@ -152,12 +154,14 @@ def solve(
     stop_region = frozenset(n for n in tree.nodes() if _covers(R[n], payoff[n], tol))
     return SnellSolution(
         tree=tree,
+        payoff=payoff,
+        priors=priors,
+        tol=tol,
         R=AdaptedFamily(R),
         R_plus=AdaptedFamily(R_plus),
         argmax_extreme=argmax,
         stop_region=stop_region,
         unattained=tuple(unattained),
-        tol=tol,
     )
 
 
@@ -172,9 +176,7 @@ def gamma(
     return bayes_conditional(tree, process, payoff, rule, v)
 
 
-def u_alpha(
-    solution: SnellSolution, payoff: AdaptedFamily, v: str, alpha: float
-) -> StoppingRule:
+def u_alpha(solution: SnellSolution, v: str, alpha: float) -> StoppingRule:
     """First time at or after ``v`` that the reward covers the fraction
     ``alpha`` of the value: alpha * R - Y <= tol * max(1, |R|).
 
@@ -184,21 +186,19 @@ def u_alpha(
     """
     if not 0.0 < alpha <= 1.0:
         raise InvalidParamsError(f"alpha {alpha:g} outside (0, 1]")
-    R, tol = solution.R, solution.tol
+    R, payoff, tol = solution.R, solution.payoff, solution.tol
     return first_entry_rule(
         solution.tree, lambda n: _covers(R[n], payoff[n], tol, alpha), v
     )
 
 
-def u_star(solution: SnellSolution, payoff: AdaptedFamily, v: str) -> StoppingRule:
+def u_star(solution: SnellSolution, v: str) -> StoppingRule:
     """First entry at or after ``v`` into ``solution.stop_region``, the
     region where the value equals the reward."""
-    return u_alpha(solution, payoff, v, 1.0)
+    return u_alpha(solution, v, 1.0)
 
 
-def extract_optimal_prior(
-    solution: SnellSolution, tree: EventTree, priors: PriorSet, v: str
-) -> DensityProcess:
+def extract_optimal_prior(solution: SnellSolution, v: str) -> DensityProcess:
     """A density process attaining the value at ``v`` along the optimal time.
 
     Where the optimal time from ``v`` keeps going (the nodes it reaches
@@ -219,6 +219,7 @@ def extract_optimal_prior(
             f"sup value at {v!r} is {solution.R[v]:.17g}",
             supremum=solution.R[v],
         )
+    tree, priors = solution.tree, solution.priors
     # node -> the extremes mixed uniformly there
     chosen: dict[str, Sequence[tuple[float, ...]]] = {}
     n = v
@@ -274,21 +275,12 @@ class CertificateReport:
 
 
 def check_optimality_certificate(
-    tree: EventTree,
-    payoff: AdaptedFamily,
-    priors: PriorSet,
-    rule: StoppingRule,
-    process: DensityProcess,
-    tol: float = DEFAULT_TOL,
-    solution: SnellSolution | None = None,
+    solution: SnellSolution, rule: StoppingRule, process: DensityProcess
 ) -> CertificateReport:
-    """Test a (rule, prior) pair; ``solution`` reuses a backward induction
-    already run on the same inputs instead of solving again, and then its
-    ``tol``, the one its stop region was decided with, replaces ``tol``."""
+    """Test a (rule, prior) pair against the solved value family, with the
+    tolerance its stop region was decided with."""
     v = rule.floor
-    if solution is None:
-        solution = solve(tree, payoff, priors, tol=tol)
-    R, tol = solution.R, solution.tol
+    tree, payoff, R, tol = solution.tree, solution.payoff, solution.R, solution.tol
     walk = rule.walk(tree)
     cond1 = all(
         process.z.get(s, 0.0) <= 0 or _covers(R[s], payoff[s], tol) for s in walk.cut
@@ -336,26 +328,7 @@ class IdentityReport:
         raise KeyError(name)
 
 
-def _best_over_selections(
-    tree: EventTree,
-    priors: PriorSet,
-    family: AdaptedFamily,
-    rule: StoppingRule,
-    v: str,
-) -> float:
-    """Max over pure extreme selections of the conditional stopped value."""
-    guard_selection_count(tree, priors, v)
-    walk = rule.walk(tree)
-    stopped = {s: family[s] for s in walk.cut}
-    return max(float("-inf"), *fold_rows(walk, tree.q_vector, priors.extremes, stopped))
-
-
-def verify_value_identities(
-    tree: EventTree,
-    payoff: AdaptedFamily,
-    priors: PriorSet,
-    solution: SnellSolution,
-) -> IdentityReport:
+def verify_value_identities(solution: SnellSolution) -> IdentityReport:
     """Verify the structural identities of the value families by enumeration.
 
     Each check compares to ``IDENTITY_TOL`` from the root.  Checks, in order:
@@ -370,7 +343,12 @@ def verify_value_identities(
     - the same identity with the prior held fixed throughout, which fails in
       general under genuine ambiguity and is reported (not gated) with both
       sides.
+
+    Raises SizeGuardError when the root has more than ``MAX_SELECTIONS``
+    extreme selections.  No subtree has more: ``solve`` gave every decision
+    node at least one extreme.
     """
+    tree, payoff, priors = solution.tree, solution.payoff, solution.priors
     v = tree.root
     measures = [DensityProcess.reference(tree)]
     for sel in extreme_selections(tree, priors, v)[:8]:
@@ -397,9 +375,11 @@ def verify_value_identities(
     worst_detail: dict[str, object] = {}
     for alpha in IDENTITY_ALPHAS:
         for n in tree.nodes():
-            rule = u_alpha(solution, payoff, n, alpha)
+            # the best over pure extreme selections of R stopped at the rule
+            walk = u_alpha(solution, n, alpha).walk(tree)
+            stopped = {s: solution.R[s] for s in walk.cut}
             lhs = solution.R[n]
-            rhs = _best_over_selections(tree, priors, solution.R, rule, n)
+            rhs = max(float("-inf"), *fold_rows(walk, tree.q_vector, priors.extremes, stopped))
             dev = abs(lhs - rhs)
             if dev > dev_alpha:
                 dev_alpha = dev

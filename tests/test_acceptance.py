@@ -116,7 +116,7 @@ def test_criterion_3_value_identities(tt1, tt3, tt4):
             if sol.R[n] != max(cfg.payoff[n], sol.R_plus[n]):
                 failures.append(f"{name}: value recursion broken at node {n}")
     sol4 = solve(tt4.tree, tt4.payoff, tt4.priors)
-    identity_report = verify_value_identities(tt4.tree, tt4.payoff, tt4.priors, sol4)
+    identity_report = verify_value_identities(sol4)
     tower = identity_report.check("strict_value_tower_with_repasted_priors")
     if not tower.passed or tower.worst_deviation >= 1e-12:
         failures.append(
@@ -139,23 +139,23 @@ def test_criterion_4_optimality_certificates(tt1, tt3, tt4):
     for name, cfg in (("tt1", tt1), ("tt3", tt3), ("tt4", tt4)):
         sol = solve(cfg.tree, cfg.payoff, cfg.priors)
         v = cfg.tree.root
-        rule = u_star(sol, cfg.payoff, v)
-        z = extract_optimal_prior(sol, cfg.tree, cfg.priors, v)
-        cert = check_optimality_certificate(cfg.tree, cfg.payoff, cfg.priors, rule, z)
+        rule = u_star(sol, v)
+        z = extract_optimal_prior(sol, v)
+        cert = check_optimality_certificate(sol, rule, z)
         if (cert.optimal, cert.cond1, cert.cond2) != (True, True, True):
             failures.append(f"{name}: certificate {cert.optimal, cert.cond1, cert.cond2}")
         if abs(cert.value - sol.R[v]) > 1e-10:
             failures.append(f"{name}: certified value {cert.value:g} != {sol.R[v]:g}")
     # perturbed pairs on tt1 must fail exactly the predicted condition
     sol1 = solve(tt1.tree, tt1.payoff, tt1.priors)
-    z_plus = extract_optimal_prior(sol1, tt1.tree, tt1.priors, "r")
+    z_plus = extract_optimal_prior(sol1, "r")
     early = stop_at_time_rule(tt1.tree, 0, "r")
-    cert_early = check_optimality_certificate(tt1.tree, tt1.payoff, tt1.priors, early, z_plus)
+    cert_early = check_optimality_certificate(sol1, early, z_plus)
     if (cert_early.optimal, cert_early.cond1, cert_early.cond2) != (False, False, True):
         failures.append(f"early stop certificate {cert_early}")
     wrong = density_process(tt1.tree, tt1.priors, {"r": 1})
-    good_rule = u_star(sol1, tt1.payoff, "r")
-    cert_wrong = check_optimality_certificate(tt1.tree, tt1.payoff, tt1.priors, good_rule, wrong)
+    good_rule = u_star(sol1, "r")
+    cert_wrong = check_optimality_certificate(sol1, good_rule, wrong)
     if (cert_wrong.optimal, cert_wrong.cond1, cert_wrong.cond2) != (False, True, False):
         failures.append(f"wrong prior certificate {cert_wrong}")
     report(4, failures)
@@ -167,7 +167,7 @@ def test_criterion_5_approximate_optimality(tt1, tt3, tt4):
         tree, payoff, priors = cfg.tree, cfg.payoff, cfg.priors
         sol = solve(tree, payoff, priors)
         v = tree.root
-        rules = [u_alpha(sol, payoff, v, a) for a in ALPHA_GRID]
+        rules = [u_alpha(sol, v, a) for a in ALPHA_GRID]
         for (a1, r1), (a2, r2) in zip(
             zip(ALPHA_GRID, rules), list(zip(ALPHA_GRID, rules))[1:]
         ):
@@ -184,7 +184,7 @@ def test_criterion_5_approximate_optimality(tt1, tt3, tt4):
             best_value = best_over_selections(tree, priors, sol.R, rule, v)
             if abs(sol.R[v] - best_value) > 1e-10:
                 failures.append(f"{name}: alpha {alpha} continuation identity fails")
-        star = u_star(sol, payoff, v)
+        star = u_star(sol, v)
         explicit = first_entry_rule(tree, lambda n: n in sol.stop_region, v)
         if star.cut(tree) != explicit.cut(tree):
             failures.append(f"{name}: optimal rule is not the first entry")
@@ -207,7 +207,7 @@ def test_criterion_6_universal_decomposition(tt1, tt3, tt4):
     decomposed = {}
     for name, tree, payoff, priors in fixture_runs:
         sol = solve(tree, payoff, priors)
-        dec = universal_decompose(tree, sol, priors)
+        dec = universal_decompose(sol)
         decomposed[name] = dec
         for n in tree.nodes():
             if abs(sol.R[n] - (dec.X0 + dec.M[n] - dec.C[n])) > 1e-10:

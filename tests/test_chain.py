@@ -58,10 +58,10 @@ def test_solve_extract_and_certify(chain):
     tree, payoff, priors = chain
     solution = solve(tree, payoff, priors)
     assert solution.R["c0"] == 1.0
-    rule = u_star(solution, payoff, "c0")
+    rule = u_star(solution, "c0")
     assert rule.cut(tree) == frozenset({LAST})
-    z = extract_optimal_prior(solution, tree, priors, "c0")
-    report = check_optimality_certificate(tree, payoff, priors, rule, z)
+    z = extract_optimal_prior(solution, "c0")
+    report = check_optimality_certificate(solution, rule, z)
     assert report.optimal
     assert report.value == 1.0
     assert report.value_target == 1.0

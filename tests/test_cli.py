@@ -449,9 +449,9 @@ class TestAlphaStops:
         payload["alphas"] = alphas
         calls = []
 
-        def counted(solution, payoff, v, alpha):
+        def counted(solution, v, alpha):
             calls.append(alpha)
-            return u_alpha(solution, payoff, v, alpha)
+            return u_alpha(solution, v, alpha)
 
         monkeypatch.setattr(cli, "u_alpha", counted)
         code, outdir = run_command(tmp_path, "solve", write_config(tmp_path, payload))
@@ -461,7 +461,7 @@ class TestAlphaStops:
         sol = solve(cfg.tree, cfg.payoff, cfg.priors, tol=cfg.tolerance)
         expected = {}
         for a in alphas:
-            cut = u_alpha(sol, cfg.payoff, cfg.v, a).cut(cfg.tree)
+            cut = u_alpha(sol, cfg.v, a).cut(cfg.tree)
             expected[format(a, ".17g")] = [n for n in cfg.tree.nodes() if n in cut]
         summary = read_summary(outdir)
         assert summary["u_alpha_stops"] == expected

@@ -154,7 +154,7 @@ class TestKwProject:
 class TestUniversalDecompose:
     def test_tt3_numbers(self, tt3):
         sol = solve(tt3.tree, tt3.payoff, tt3.priors)
-        dec = universal_decompose(tt3.tree, sol, tt3.priors)
+        dec = universal_decompose(sol)
         assert dec.X0 == pytest.approx(1.3, abs=1e-12)
         assert dec.A_q["a"] == pytest.approx(0.3, abs=1e-12)
         assert dec.K["a"] == pytest.approx(0.5, abs=1e-12)
@@ -170,7 +170,7 @@ class TestUniversalDecompose:
 
     def test_tt1_numbers(self, tt1):
         sol = solve(tt1.tree, tt1.payoff, tt1.priors)
-        dec = universal_decompose(tt1.tree, sol, tt1.priors)
+        dec = universal_decompose(sol)
         assert dec.M["u"] == pytest.approx(0.0, abs=1e-12)
         assert dec.M["d"] == pytest.approx(0.0, abs=1e-12)
         assert dec.C["u"] == pytest.approx(-0.5, abs=1e-12)
@@ -181,7 +181,7 @@ class TestUniversalDecompose:
     def test_single_prior_reduces_to_doob(self, tt4_single):
         tree, payoff, priors = tt4_single
         sol = solve(tree, payoff, priors)
-        dec = universal_decompose(tree, sol, priors)
+        dec = universal_decompose(sol)
         A, M = doob(tree, sol.R, DensityProcess.reference(tree))
         for n in tree.nodes():
             assert dec.K[n] == pytest.approx(0.0, abs=1e-12)
@@ -194,7 +194,7 @@ class TestUniversalDecompose:
         for seed in range(12):
             tree, payoff, priors = random_instance(seed)
             sol = solve(tree, payoff, priors)
-            dec = universal_decompose(tree, sol, priors)
+            dec = universal_decompose(sol)
             for n in tree.nodes():
                 rebuilt = dec.X0 + dec.M[n] - dec.C[n]
                 assert sol.R[n] == pytest.approx(rebuilt, abs=1e-10)
@@ -202,7 +202,7 @@ class TestUniversalDecompose:
 
     def test_reference_increment_splits_into_k_plus_m(self, tt3):
         sol = solve(tt3.tree, tt3.payoff, tt3.priors)
-        dec = universal_decompose(tt3.tree, sol, tt3.priors)
+        dec = universal_decompose(sol)
         for n in tt3.tree.decision_nodes("r"):
             cond = sum(
                 tt3.tree.edge_q(c) * sol.R[c] for c in tt3.tree.children(n)
@@ -214,7 +214,7 @@ class TestUniversalDecompose:
 
     def test_martingale_under_every_extreme(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
-        dec = universal_decompose(tt4.tree, sol, tt4.priors)
+        dec = universal_decompose(sol)
         for n in tt4.tree.decision_nodes("r"):
             q = tt4.tree.q_vector(n)
             children = tt4.tree.children(n)
@@ -252,14 +252,14 @@ class TestPremise:
     def test_decompose_reports_the_same_premise(self, tt1, tt3):
         for cfg in (tt1, tt3):
             sol = solve(cfg.tree, cfg.payoff, cfg.priors)
-            dec = universal_decompose(cfg.tree, sol, cfg.priors)
+            dec = universal_decompose(sol)
             assert dec.diagnostics.premise == premise_check(cfg.tree, cfg.priors)
 
     def test_premise_matches_increasing_drift_on_single_prior(self):
         for seed in range(8):
             tree, payoff, priors = random_instance(seed, single_prior=True)
             sol = solve(tree, payoff, priors)
-            dec = universal_decompose(tree, sol, priors)
+            dec = universal_decompose(sol)
             assert dec.diagnostics.premise.scaling_closed_all
             assert dec.diagnostics.C_increasing
 
@@ -286,7 +286,7 @@ class TestOnePass:
                 return _original(*args)
 
             monkeypatch.setattr(owner, name, counted)
-        dec = universal_decompose(tree, sol, priors)
+        dec = universal_decompose(sol)
         monkeypatch.undo()
         return calls, dec
 
@@ -305,8 +305,8 @@ class TestOnePass:
     def test_extremes_given_as_lists(self, tt1):
         sol = solve(tt1.tree, tt1.payoff, tt1.priors)
         listed = PriorSet(extreme_points={"r": [[1.5, 0.5], [0.5, 1.5]]})
-        dec = universal_decompose(tt1.tree, sol, listed)
-        ref = universal_decompose(tt1.tree, sol, tt1.priors)
+        dec = universal_decompose(solve(tt1.tree, tt1.payoff, listed))
+        ref = universal_decompose(sol)
         assert dec.diagnostics == ref.diagnostics
         assert (dec.M.values, dec.C.values) == (ref.M.values, ref.C.values)
 
@@ -743,15 +743,15 @@ class TestFlatOff:
     def test_single_prior_value_is_flat_before_stopping(self, tt4_single):
         tree, payoff, priors = tt4_single
         sol = solve(tree, payoff, priors)
-        dec = universal_decompose(tree, sol, priors)
-        rule = u_star(sol, payoff, "r")
+        dec = universal_decompose(sol)
+        rule = u_star(sol, "r")
         assert flat_off_check(dec, tree, rule) is True
 
     def test_constant_reward_trivially_flat(self, tt4):
         payoff = AdaptedFamily.constant(tt4.tree, 1.0)
         sol = solve(tt4.tree, payoff, tt4.priors)
-        dec = universal_decompose(tt4.tree, sol, tt4.priors)
-        rule = u_star(sol, payoff, "r")
+        dec = universal_decompose(sol)
+        rule = u_star(sol, "r")
         assert rule.cut(tt4.tree) == frozenset({"r"})
         assert flat_off_check(dec, tt4.tree, rule) is True
 
@@ -759,29 +759,29 @@ class TestFlatOff:
         priors = PriorSet.singleton_reference(tt1.tree)
         sol = solve(tt1.tree, tt1.payoff, priors)
         assert sol.R["r"] == pytest.approx(1.0)
-        dec = universal_decompose(tt1.tree, sol, priors)
-        rule = u_star(sol, tt1.payoff, "r")
+        dec = universal_decompose(sol)
+        rule = u_star(sol, "r")
         assert rule.cut(tt1.tree) == frozenset({"r"})
         assert flat_off_check(dec, tt1.tree, rule) is True
 
     def test_robust_tt4_drift_moves_before_stop(self, tt4):
         # with genuine ambiguity the premise fails and C moves immediately
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
-        dec = universal_decompose(tt4.tree, sol, tt4.priors)
-        rule = u_star(sol, tt4.payoff, "r")
+        dec = universal_decompose(sol)
+        rule = u_star(sol, "r")
         assert flat_off_check(dec, tt4.tree, rule) is False
 
     def test_random_single_prior_always_flat(self):
         for seed in range(10):
             tree, payoff, priors = random_instance(seed, single_prior=True)
             sol = solve(tree, payoff, priors)
-            dec = universal_decompose(tree, sol, priors)
-            rule = u_star(sol, payoff, tree.root)
+            dec = universal_decompose(sol)
+            rule = u_star(sol, tree.root)
             assert flat_off_check(dec, tree, rule) is True
 
     def test_rule_that_never_stops_raises(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
-        dec = universal_decompose(tt4.tree, sol, tt4.priors)
+        dec = universal_decompose(sol)
         # stops at u, but nowhere on the paths through d
         rule = StoppingRule(labels={"u": True}, floor="r")
         with pytest.raises(InvalidRuleError, match="never stops"):

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +33,14 @@ def test_demo_runs_cleanly(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+
+
+def test_readme_quickstart():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(code, "README.md", "exec"), {})
+    expected = [line.split("# ")[-1] for line in code.splitlines() if line.startswith("print(")]
+    assert expected == ["1.5", "True", "0.0"]
+    assert printed.getvalue().splitlines() == expected

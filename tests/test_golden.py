@@ -6,13 +6,26 @@ runs use the drift-ambiguity knock-in put (up 1.1, down 0.9, K 5, H 3.8,
 ambiguity [0.4, 0.6]) at S0 = 5.
 """
 
+import dataclasses
 import hashlib
 import json
+from typing import Mapping
 
 import pytest
 
-from robust_snell import fixtures, random_crr_params, random_instance
-from robust_snell.cli import run
+from robust_snell import (
+    RobustSnellError,
+    check_optimality_certificate,
+    extract_optimal_prior,
+    fixtures,
+    random_crr_params,
+    random_instance,
+    solve,
+    u_star,
+    universal_decompose,
+    verify_value_identities,
+)
+from robust_snell.cli import parse_config, run
 
 
 def crr_config(steps, mode="closure"):
@@ -121,3 +134,80 @@ def test_random_models_match_golden_digest():
         h.update(instance_text(random_instance(seed, single_prior=True)).encode())
         h.update(repr(random_crr_params(seed)).encode())
     assert h.hexdigest() == RANDOM_MODELS
+
+
+#: sha256 of the library's outputs on the fixtures, the 6-step CRR put in both
+#: modes and seeds 0-39 of random_instance, multi- and single-prior: at every
+#: node the u* cut, the optimal prior's ratios and z and its certificate (or
+#: the error), then the decomposition and the identities' worst deviations
+LIBRARY_OUTPUTS = "3ce06de5d2130cf23c229ac6e19070a67c4db10a3e49f2831d68557b416d756d"
+
+
+def _canon(value):
+    """``value`` with every float, also inside mappings and sequences, as
+    ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Mapping):
+        return [(k, _canon(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_canon(v) for v in value]
+    return value
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the class and message of the library error it raises."""
+    try:
+        return fn(*args)
+    except RobustSnellError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def library_text(solution):
+    """Every output the library derives from ``solution``, floats in hex."""
+    tree = solution.tree
+    nodes = tree.nodes()
+    parts = []
+    for v in nodes:
+        rule = u_star(solution, v)
+        cut = rule.cut(tree)
+        entry = [v, [n for n in nodes if n in cut]]
+        process = _outcome(extract_optimal_prior, solution, v)
+        if isinstance(process, str):
+            entry.append(process)
+        else:
+            cert = _outcome(check_optimality_certificate, solution, rule, process)
+            entry += [
+                _canon([(n, process.ratio[n]) for n in nodes if n in process.ratio]),
+                _canon([(n, process.z[n]) for n in nodes if n in process.z]),
+                cert if isinstance(cert, str) else _canon(dataclasses.astuple(cert)),
+            ]
+        parts.append(entry)
+    decomp = universal_decompose(solution)
+    diag = decomp.diagnostics
+    parts.append(_canon([
+        decomp.X0,
+        [[(n, f[n]) for n in nodes] for f in (decomp.M, decomp.C, decomp.K, decomp.A_q)],
+        diag.C_increasing,
+        diag.min_delta_C,
+        diag.universal_martingale_residual,
+        diag.premise.full_slice,
+        diag.premise.scaling_closed,
+    ]))
+    report = _outcome(verify_value_identities, solution)
+    parts.append(
+        report if isinstance(report, str)
+        else _canon([c.worst_deviation for c in report.checks])
+    )
+    return repr(parts)
+
+
+def test_library_outputs_match_golden_digest(tmp_path):
+    h = hashlib.sha256()
+    for label in ("tt1", "tt3", "tt4", "crr6", "crr6eq"):
+        cfg = parse_config(config_for(label, tmp_path))
+        h.update(library_text(solve(cfg.tree, cfg.payoff, cfg.priors, tol=cfg.tolerance)).encode())
+    for seed in range(40):
+        for single in (False, True):
+            h.update(library_text(solve(*random_instance(seed, single_prior=single))).encode())
+    assert h.hexdigest() == LIBRARY_OUTPUTS

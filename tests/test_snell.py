@@ -16,6 +16,7 @@ from robust_snell import (
     InvalidTreeError,
     NodeRecord,
     PriorSet,
+    SizeGuardError,
     UnattainedSupremumError,
     UndefinedConditionalError,
     brute_force_value,
@@ -32,6 +33,7 @@ from robust_snell import (
     gamma,
     knockin_payoff,
     random_instance,
+    selection_count,
     solve,
     stop_at_time_rule,
     u_alpha,
@@ -151,31 +153,31 @@ class TestGamma:
 class TestAlphaRules:
     def test_tt1_low_alpha_stops_immediately(self, tt1):
         sol = solve(tt1.tree, tt1.payoff, tt1.priors)
-        rule = u_alpha(sol, tt1.payoff, "r", 0.6)
+        rule = u_alpha(sol, "r", 0.6)
         assert rule.cut(tt1.tree) == frozenset({"r"})
 
     def test_tt1_high_alpha_continues(self, tt1):
         sol = solve(tt1.tree, tt1.payoff, tt1.priors)
-        rule = u_alpha(sol, tt1.payoff, "r", 0.8)
+        rule = u_alpha(sol, "r", 0.8)
         assert rule.cut(tt1.tree) == frozenset({"u", "d"})
 
     def test_terminal_floor_stops_at_once(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
         for leaf in tt4.tree.leaves():
             for alpha in (0.2, 0.9, 1.0):
-                rule = u_alpha(sol, tt4.payoff, leaf, alpha)
+                rule = u_alpha(sol, leaf, alpha)
                 assert rule.cut(tt4.tree) == frozenset({leaf})
 
     def test_alpha_out_of_range(self, tt1):
         sol = solve(tt1.tree, tt1.payoff, tt1.priors)
         for alpha in (0.0, -0.3, 1.2):
             with pytest.raises(InvalidParamsError):
-                u_alpha(sol, tt1.payoff, "r", alpha)
+                u_alpha(sol, "r", alpha)
 
     def test_nondecreasing_in_alpha(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
         grid = [0.2, 0.4, 0.6, 0.8, 0.95, 1.0]
-        rules = [u_alpha(sol, tt4.payoff, "r", a) for a in grid]
+        rules = [u_alpha(sol, "r", a) for a in grid]
         for earlier, later in zip(rules, rules[1:]):
             for leaf in tt4.tree.leaves():
                 assert earlier.stop_time(tt4.tree, leaf) <= later.stop_time(tt4.tree, leaf)
@@ -183,7 +185,7 @@ class TestAlphaRules:
     def test_reward_covers_alpha_fraction_at_stop(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
         for alpha in (0.2, 0.6, 0.95, 1.0):
-            rule = u_alpha(sol, tt4.payoff, "r", alpha)
+            rule = u_alpha(sol, "r", alpha)
             for s in rule.cut(tt4.tree):
                 assert alpha * sol.R[s] <= tt4.payoff[s] + 1e-9
 
@@ -191,31 +193,29 @@ class TestAlphaRules:
 class TestOptimalTime:
     def test_tt1(self, tt1):
         sol = solve(tt1.tree, tt1.payoff, tt1.priors)
-        rule = u_star(sol, tt1.payoff, "r")
+        rule = u_star(sol, "r")
         assert rule.cut(tt1.tree) == frozenset({"u", "d"})
 
     def test_tt4_first_entry_of_stop_region(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
-        rule = u_star(sol, tt4.payoff, "r")
+        rule = u_star(sol, "r")
         assert rule.cut(tt4.tree) == frozenset({"uu", "ud", "du", "dd"})
         explicit = first_entry_rule(tt4.tree, lambda n: n in sol.stop_region, "r")
         assert rule.cut(tt4.tree) == explicit.cut(tt4.tree)
 
     def test_equals_alpha_one(self, tt3):
         sol = solve(tt3.tree, tt3.payoff, tt3.priors)
-        assert u_star(sol, tt3.payoff, "r").cut(tt3.tree) == u_alpha(
-            sol, tt3.payoff, "r", 1.0
-        ).cut(tt3.tree)
+        assert u_star(sol, "r").cut(tt3.tree) == u_alpha(sol, "r", 1.0).cut(tt3.tree)
 
     def test_constant_reward_stops_at_once(self, tt4):
         payoff = AdaptedFamily.constant(tt4.tree, 2.0)
         sol = solve(tt4.tree, payoff, tt4.priors)
-        rule = u_star(sol, payoff, "r")
+        rule = u_star(sol, "r")
         assert rule.cut(tt4.tree) == frozenset({"r"})
 
     def test_attains_value_over_extremes(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
-        rule = u_star(sol, tt4.payoff, "r")
+        rule = u_star(sol, "r")
         best = max(
             gamma(tt4.tree, tt4.payoff, density_process(tt4.tree, tt4.priors, sel), rule, "r")
             for sel in extreme_selections(tt4.tree, tt4.priors)
@@ -226,24 +226,24 @@ class TestOptimalTime:
 class TestExtractOptimalPrior:
     def test_tt1_picks_upweighting(self, tt1):
         sol = solve(tt1.tree, tt1.payoff, tt1.priors)
-        z = extract_optimal_prior(sol, tt1.tree, tt1.priors, "r")
+        z = extract_optimal_prior(sol, "r")
         assert z.z == {"r": 1.0, "u": 1.5, "d": 0.5}
-        rule = u_star(sol, tt1.payoff, "r")
+        rule = u_star(sol, "r")
         assert gamma(tt1.tree, tt1.payoff, z, rule, "r") == pytest.approx(1.5)
 
     def test_tt4_downweights_everywhere(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
-        z = extract_optimal_prior(sol, tt4.tree, tt4.priors, "r")
+        z = extract_optimal_prior(sol, "r")
         for n in ("r", "u", "d"):
             assert z.ratio[n] == (0.5, 1.5)
-        rule = u_star(sol, tt4.payoff, "r")
+        rule = u_star(sol, "r")
         assert gamma(tt4.tree, tt4.payoff, z, rule, "r") == pytest.approx(2.625)
 
     def test_extraction_at_interior_nodes(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
         for v in ("u", "d"):
-            rule = u_star(sol, tt4.payoff, v)
-            z = extract_optimal_prior(sol, tt4.tree, tt4.priors, v)
+            rule = u_star(sol, v)
+            z = extract_optimal_prior(sol, v)
             assert gamma(tt4.tree, tt4.payoff, z, rule, v) == pytest.approx(
                 sol.R[v], abs=1e-12
             )
@@ -251,7 +251,7 @@ class TestExtractOptimalPrior:
     def test_single_prior_returns_reference(self, tt4_single):
         tree, payoff, priors = tt4_single
         sol = solve(tree, payoff, priors)
-        z = extract_optimal_prior(sol, tree, priors, "r")
+        z = extract_optimal_prior(sol, "r")
         assert all(v == 1.0 for v in z.z.values())
 
     def test_unattained_supremum_raises_with_value(self, tt1):
@@ -261,7 +261,7 @@ class TestExtractOptimalPrior:
         sol = solve(tt1.tree, tt1.payoff, priors)
         assert not sol.attained
         with pytest.raises(UnattainedSupremumError) as exc:
-            extract_optimal_prior(sol, tt1.tree, priors, "r")
+            extract_optimal_prior(sol, "r")
         assert exc.value.supremum == pytest.approx(2.0)
 
     def test_equivalent_mode_tie_mixes_to_positive(self, tt1):
@@ -273,7 +273,7 @@ class TestExtractOptimalPrior:
         )
         sol = solve(tt1.tree, payoff, priors)
         assert sol.attained
-        z = extract_optimal_prior(sol, tt1.tree, priors, "r")
+        z = extract_optimal_prior(sol, "r")
         assert z.ratio["r"] == (1.0, 1.0)
 
 
@@ -307,33 +307,34 @@ class TestSupermartingaleCheck:
 class TestCertificate:
     def test_optimal_pair(self, tt1):
         sol = solve(tt1.tree, tt1.payoff, tt1.priors)
-        rule = u_star(sol, tt1.payoff, "r")
-        z = extract_optimal_prior(sol, tt1.tree, tt1.priors, "r")
-        cert = check_optimality_certificate(tt1.tree, tt1.payoff, tt1.priors, rule, z)
+        rule = u_star(sol, "r")
+        z = extract_optimal_prior(sol, "r")
+        cert = check_optimality_certificate(sol, rule, z)
         assert (cert.optimal, cert.cond1, cert.cond2) == (True, True, True)
         assert cert.value == pytest.approx(cert.value_target)
 
     def test_early_stop_fails_first_condition(self, tt1):
+        sol = solve(tt1.tree, tt1.payoff, tt1.priors)
         z = density_process(tt1.tree, tt1.priors, {"r": 0})
         rule = stop_at_time_rule(tt1.tree, 0, "r")
-        cert = check_optimality_certificate(tt1.tree, tt1.payoff, tt1.priors, rule, z)
+        cert = check_optimality_certificate(sol, rule, z)
         assert (cert.optimal, cert.cond1, cert.cond2) == (False, False, True)
 
     def test_wrong_prior_fails_second_condition(self, tt1):
+        sol = solve(tt1.tree, tt1.payoff, tt1.priors)
         z = density_process(tt1.tree, tt1.priors, {"r": 1})
         rule = stop_at_time_rule(tt1.tree, 1, "r")
-        cert = check_optimality_certificate(tt1.tree, tt1.payoff, tt1.priors, rule, z)
+        cert = check_optimality_certificate(sol, rule, z)
         assert (cert.optimal, cert.cond1, cert.cond2) == (False, True, False)
         assert cert.value == pytest.approx(0.5)
 
     def test_equivalence_with_value_attainment(self, tt1):
         # the pair is optimal exactly when its conditional value hits R(v)
+        sol = solve(tt1.tree, tt1.payoff, tt1.priors)
         for rule in enumerate_rules(tt1.tree, "r"):
             for sel in extreme_selections(tt1.tree, tt1.priors):
                 z = density_process(tt1.tree, tt1.priors, sel)
-                cert = check_optimality_certificate(
-                    tt1.tree, tt1.payoff, tt1.priors, rule, z
-                )
+                cert = check_optimality_certificate(sol, rule, z)
                 attains = abs(cert.value - cert.value_target) <= 1e-9
                 assert cert.optimal == attains
 
@@ -342,7 +343,7 @@ class TestValueIdentities:
     def test_gated_identities_pass_on_fixtures(self, tt1, tt3, tt4):
         for cfg in (tt1, tt3, tt4):
             sol = solve(cfg.tree, cfg.payoff, cfg.priors)
-            report = verify_value_identities(cfg.tree, cfg.payoff, cfg.priors, sol)
+            report = verify_value_identities(sol)
             assert report.passed
             for check in report.checks:
                 if check.gating:
@@ -350,7 +351,7 @@ class TestValueIdentities:
 
     def test_fixed_prior_tower_fails_with_documented_numbers(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
-        report = verify_value_identities(tt4.tree, tt4.payoff, tt4.priors, sol)
+        report = verify_value_identities(sol)
         literal = report.check("strict_value_tower_with_fixed_prior")
         assert not literal.passed
         assert not literal.gating
@@ -366,7 +367,7 @@ class TestValueIdentities:
     def test_single_prior_towers_agree(self, tt4_single):
         tree, payoff, priors = tt4_single
         sol = solve(tree, payoff, priors)
-        report = verify_value_identities(tree, payoff, priors, sol)
+        report = verify_value_identities(sol)
         assert report.passed
         assert report.check("strict_value_tower_with_fixed_prior").passed
 
@@ -377,12 +378,22 @@ class TestValueIdentities:
             {n: [(2.0, 0.0), (0.0, 2.0)] for n in ("r", "u", "d")}
         )
         sol = solve(tt4.tree, tt4.payoff, priors)
-        report = verify_value_identities(tt4.tree, tt4.payoff, priors, sol)
+        report = verify_value_identities(sol)
         assert report.passed
         for check in report.checks:
             if check.gating:
                 assert check.worst_deviation == 0.0, check
         assert crosscheck(tt4.tree, tt4.payoff, priors, sol).max_deviation == 0.0
+
+    def test_root_selection_guard_covers_every_subtree(self, crr_put):
+        # no subtree has more extreme selections than the root, so the
+        # guard at the root is the only one the enumeration needs
+        params = dataclasses.replace(crr_put, steps=4)
+        tree = build_crr_barrier_tree(params)
+        sol = solve(tree, knockin_payoff(tree, params), drift_ambiguity_priors(tree, params))
+        assert selection_count(tree, sol.priors) == 2**15
+        with pytest.raises(SizeGuardError, match="32768 extreme selections"):
+            verify_value_identities(sol)
 
 
 class TestStepOneIdentity:
@@ -390,7 +401,7 @@ class TestStepOneIdentity:
         for cfg in (tt1, tt3, tt4):
             sol = solve(cfg.tree, cfg.payoff, cfg.priors)
             for alpha in (0.2, 0.6, 1.0):
-                rule = u_alpha(sol, cfg.payoff, cfg.tree.root, alpha)
+                rule = u_alpha(sol, cfg.tree.root, alpha)
                 best = max(
                     gamma(cfg.tree, sol.R, density_process(cfg.tree, cfg.priors, sel), rule, cfg.tree.root)
                     for sel in extreme_selections(cfg.tree, cfg.priors)
@@ -400,7 +411,7 @@ class TestStepOneIdentity:
     def test_one_minus_alpha_optimality(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
         for alpha in (0.2, 0.4, 0.6, 0.8, 0.95, 1.0):
-            rule = u_alpha(sol, tt4.payoff, "r", alpha)
+            rule = u_alpha(sol, "r", alpha)
             best = max(
                 gamma(tt4.tree, tt4.payoff, density_process(tt4.tree, tt4.priors, sel), rule, "r")
                 for sel in extreme_selections(tt4.tree, tt4.priors)
@@ -519,9 +530,9 @@ class TestOptimalPairFromStopRegion:
                     expected = reference_optimal_prior(sol, tree, priors, v)
                 except UnattainedSupremumError:
                     with pytest.raises(UnattainedSupremumError):
-                        extract_optimal_prior(sol, tree, priors, v)
+                        extract_optimal_prior(sol, v)
                     continue
-                got = extract_optimal_prior(sol, tree, priors, v)
+                got = extract_optimal_prior(sol, v)
                 if expected.z[v] == 0.0:
                     # the earlier route left v without mass above it
                     assert got.z[v] > 0.0, (name, v)
@@ -533,7 +544,7 @@ class TestOptimalPairFromStopRegion:
     def test_negative_zero_component_comes_out_as_zero(self, tt1):
         priors = PriorSet.from_node_extremes({"r": [[2.0, -0.0], [0.0, 2.0]]})
         sol = solve(tt1.tree, tt1.payoff, priors)
-        z = extract_optimal_prior(sol, tt1.tree, priors, "r")
+        z = extract_optimal_prior(sol, "r")
         assert z.ratio["r"][1].hex() == "0x0.0p+0"
         assert z.z["d"].hex() == "0x0.0p+0"
 
@@ -545,16 +556,16 @@ class TestOptimalPairFromStopRegion:
             sol = solve(tree, payoff, priors, tol=tol)
             for v in tree.nodes():
                 entry = first_entry_rule(tree, lambda n: n in sol.stop_region, v)
-                assert u_alpha(sol, payoff, v, 1.0).cut(tree) == entry.cut(tree), (name, v)
+                assert u_alpha(sol, v, 1.0).cut(tree) == entry.cut(tree), (name, v)
 
     def test_coverage_edge_stops_where_the_stop_region_does(self):
         tree, payoff, priors, tol = coverage_edge_model()
         sol = solve(tree, payoff, priors, tol=tol)
         assert sol.stop_region == frozenset({"u", "d"})
-        rule = u_star(sol, payoff, "r")
+        rule = u_star(sol, "r")
         assert rule.cut(tree) == frozenset({"u", "d"})
-        z = extract_optimal_prior(sol, tree, priors, "r")
-        assert check_optimality_certificate(tree, payoff, priors, rule, z, tol=tol).optimal
+        z = extract_optimal_prior(sol, "r")
+        assert check_optimality_certificate(sol, rule, z).optimal
 
     @pytest.mark.parametrize("mode", ["closure", "equivalent"])
     def test_extract_builds_no_selection(self, tt4, monkeypatch, mode):
@@ -576,11 +587,11 @@ class TestOptimalPairFromStopRegion:
         priors = PriorSet(extreme_points=tt4.priors.extreme_points, mode=mode)
         sol = solve(tt4.tree, tt4.payoff, priors)
         for v in tt4.tree.nodes():
-            extract_optimal_prior(sol, tt4.tree, priors, v)
+            extract_optimal_prior(sol, v)
         assert calls == []
 
     def test_no_model_charging_the_evaluation_node_is_named(self, tt1):
         priors = PriorSet.from_node_extremes({"r": [[2.0, 0.0]]})
         sol = solve(tt1.tree, tt1.payoff, priors)
         with pytest.raises(UndefinedConditionalError, match="'d'.*'r'"):
-            extract_optimal_prior(sol, tt1.tree, priors, "d")
+            extract_optimal_prior(sol, "d")
