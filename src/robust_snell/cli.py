@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .decomposition import flat_off_check, universal_decompose
 from .errors import (
@@ -77,8 +76,7 @@ CSV_COLUMNS = [
 ]
 
 
-@dataclasses.dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Parsed and validated run configuration."""
 
     tree: EventTree
@@ -439,7 +437,7 @@ def cmd_solve(cfg: RunConfig, solution: SnellSolution) -> tuple[dict, dict]:
         "attained": solution.attained,
         "U_star_stops": star_stops,
         "u_alpha_stops": alpha_stops,
-        "certificate": dataclasses.asdict(certificate),
+        "certificate": certificate._asdict(),
     }
     return fields, _solve_columns(cfg, solution, cut_star, z_star)
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .filtration import AdaptedFamily, EventTree, StoppingRule, step
 from .priors import PriorSet
@@ -96,8 +95,7 @@ def _project(
     return k_part, orth
 
 
-@dataclass(frozen=True)
-class PremiseReport:
+class PremiseReport(NamedTuple):
     """Per-node richness flags for the density-increment subspaces.
 
     ``full_slice``: the node polytope is the entire nonnegativity-truncated
@@ -222,16 +220,14 @@ def premise_check(tree: EventTree, priors: PriorSet) -> PremiseReport:
     return PremiseReport(full_slice=full_slice, scaling_closed=scaling_closed)
 
 
-@dataclass(frozen=True)
-class DecompositionDiagnostics:
+class DecompositionDiagnostics(NamedTuple):
     C_increasing: bool
     min_delta_C: float
     universal_martingale_residual: float
     premise: PremiseReport
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """R = X0 + M - C with per-node bookkeeping of the construction.
 
     ``K`` accumulates the projected parts of the reference Doob martingale

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -29,9 +29,11 @@ MAX_DECISION_NODES = 24
 #: defensive cap on the number of enumerated stopping rules
 MAX_RULES = 200_000
 
+#: the one read-only empty mapping that optional mapping fields default to
+EMPTY_MAPPING: Mapping = MappingProxyType({})
 
-@dataclass(frozen=True, slots=True)
-class NodeRecord:
+
+class NodeRecord(NamedTuple):
     """A single tree node.
 
     ``q`` is the reference probability of the edge from ``parent`` to this
@@ -43,7 +45,7 @@ class NodeRecord:
     time: int
     parent: str | None = None
     q: float | None = None
-    states: Mapping[str, float] = field(default_factory=dict)
+    states: Mapping[str, float] = EMPTY_MAPPING
 
 
 class EventTree:
@@ -256,8 +258,7 @@ def validate_family(tree: EventTree, family: AdaptedFamily) -> list[str]:
     return report
 
 
-@dataclass(frozen=True)
-class StoppingRule:
+class StoppingRule(NamedTuple):
     """An adapted stop/continue labelling defining one stopping time.
 
     The rule belongs to the class anchored at ``floor`` and is only consulted
@@ -369,6 +370,36 @@ def fold_rows(
     return rows[walk.floor]
 
 
+def continuing_rows(
+    tree: EventTree,
+    choices: Callable[[str], Sequence[Sequence[float]]],
+    stopped: Callable[[str], float],
+    v: str,
+) -> dict[str, list[tuple[float, ...]]]:
+    """The ``fold_rows`` row of every rule that continues at each decision
+    node of the subtree at ``v``, built once for all of those rules.
+
+    Nodes are built children before parents.  A child offers its immediate
+    stop ``(stopped(c),)`` and then its own continuing rows; each combination
+    of the children's offers, in ``enumerate_rules`` order, gives one row:
+    ``step(q, d, combo)`` for each ``d`` in ``choices(n)`` and, inside it,
+    each combination ``combo`` of the offered rows.  So a node's list is
+    index-aligned with the rules that continue there, and each row holds the
+    same floats, in the same order, as ``fold_rows`` gives for its rule.  A
+    child's rows are computed once and shared by every row of its parent.
+    """
+    rows: dict[str, list[tuple[float, ...]]] = {}
+    for n in reversed(tree.decision_nodes(v)):
+        q = tree.q_vector(n)
+        ds = choices(n)
+        offers = [[(stopped(c),), *rows.get(c, ())] for c in tree.children(n)]
+        rows[n] = [
+            tuple(step(q, d, combo) for d in ds for combo in itertools.product(*parts))
+            for parts in itertools.product(*offers)
+        ]
+    return rows
+
+
 def first_entry_rule(
     tree: EventTree, predicate: Callable[[str], bool], v: str
 ) -> StoppingRule:
@@ -406,14 +437,10 @@ def count_rules(tree: EventTree, v: str, strict: bool = False) -> int:
     return free[v]
 
 
-def enumerate_rules(tree: EventTree, v: str, strict: bool = False) -> list[StoppingRule]:
-    """All stopping rules anchored at ``v``, each exactly once, in a fixed order.
-
-    The order is deterministic: on each subtree the immediate stop comes
-    first, followed by the cartesian combinations of child enumerations.
-    At a non-terminal ``v`` the strict list is therefore the non-strict one
-    without its first rule.
-    """
+def guard_rule_count(tree: EventTree, v: str, strict: bool = False) -> None:
+    """Raise SizeGuardError when the subtree at ``v`` has more than
+    MAX_DECISION_NODES decision nodes, or else when ``count_rules`` there
+    exceeds MAX_RULES."""
     n_decision = len(tree.decision_nodes(v))
     if n_decision > MAX_DECISION_NODES:
         raise SizeGuardError(
@@ -423,6 +450,17 @@ def enumerate_rules(tree: EventTree, v: str, strict: bool = False) -> list[Stopp
     total = count_rules(tree, v, strict)
     if total > MAX_RULES:
         raise SizeGuardError(f"{total} stopping rules exceed the cap {MAX_RULES}")
+
+
+def enumerate_rules(tree: EventTree, v: str, strict: bool = False) -> list[StoppingRule]:
+    """All stopping rules anchored at ``v``, each exactly once, in a fixed order.
+
+    The order is deterministic: on each subtree the immediate stop comes
+    first, followed by the cartesian combinations of child enumerations.
+    At a non-terminal ``v`` the strict list is therefore the non-strict one
+    without its first rule.  ``guard_rule_count`` runs first.
+    """
+    guard_rule_count(tree, v, strict)
 
     def continuing(n: str) -> list[dict[str, bool]]:
         """Labels of the rules that continue at the non-terminal ``n``."""

@@ -7,31 +7,33 @@ where that rule continues (a selection where it has stopped cannot change
 its value), and the maximum is taken only over the complete values at the
 node.  That gives the strict value R_plus; the stopping times at a node are
 the immediate stop and the strictly later ones, so R is the larger of the
-reward and R_plus, taken from the same enumeration.  The values of a rule's
-subtrees are shared between the selections that agree on them
-(``filtration.fold_rows``) instead of being recomputed for each one.  The
-size guards are those of ``enumerate_rules`` followed by the
-``MAX_SELECTIONS`` guard on every selection below the node.
+reward and R_plus, taken from the same enumeration.
+
+The rows of these values are built once, children before parents
+(``filtration.continuing_rows``): a rule that continues at a node combines
+its children's rules, so each child's rows are computed once and shared by
+every rule and selection above it, and one pass from the root gives the rows
+of every node.  The size guards are those of ``enumerate_rules`` followed by
+the ``MAX_SELECTIONS`` guard on every selection below the node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .filtration import (
     AdaptedFamily,
     EventTree,
     StoppingRule,
+    continuing_rows,
     enumerate_rules,
-    fold_rows,
+    guard_rule_count,
 )
 from .priors import PriorSet, guard_selection_count
 from .snell import solve
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     value: float
     best_rule: StoppingRule
     best_selection: dict[str, int]
@@ -58,7 +60,7 @@ def _brute_force(
     strict: bool,
 ) -> tuple[BruteForceResult, BruteForceResult]:
     """The suprema at ``v`` over every rule and over the rules that continue
-    at a non-terminal ``v``, from one enumeration and fold of the latter.
+    at a non-terminal ``v``, from one scan of the latter's rows.
 
     ``strict`` selects the class whose size the rule cap counts.
     """
@@ -69,27 +71,14 @@ def _brute_force(
     if not (strict or tree.is_terminal(v)):
         rules = rules[1:]
     nodes = tree.decision_nodes(v)
-    q = {n: tree.q_vector(n) for n in nodes}
     extremes = {n: priors.extremes(n) for n in nodes}
-    best_value = float("-inf")
-    best_rule = rules[0]
-    best_continuation: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    best_index = 0
-    for rule in rules:
-        walk = rule.walk(tree)
-        row = fold_rows(
-            walk, q.__getitem__, extremes.__getitem__, {s: payoff[s] for s in walk.cut}
-        )
-        for i, value in enumerate(row):
-            if value > best_value:
-                best_value = value
-                best_rule = rule
-                best_continuation = walk.continuation
-                best_index = i
+    rows = continuing_rows(tree, extremes.__getitem__, payoff.__getitem__, v)
+    # the one rule at a terminal v stops there
+    value, k, i = _scan(rows.get(v, [(payoff[v],)]))
     later = BruteForceResult(
-        value=best_value,
-        best_rule=best_rule,
-        best_selection=_selection_at(nodes, best_continuation, extremes, best_index),
+        value=value,
+        best_rule=rules[k],
+        best_selection=_selection_at(nodes, rules[k].walk(tree).continuation, extremes, i),
     )
     stop = BruteForceResult(
         # as in a strict ``>`` scan from -inf, a NaN reward is never taken
@@ -98,6 +87,19 @@ def _brute_force(
         best_selection=dict.fromkeys(nodes, 0),
     )
     return (later if later.value > stop.value else stop), later
+
+
+def _scan(rows: Sequence[Sequence[float]]) -> tuple[float, int, int]:
+    """The first largest entry of ``rows`` by a strict ``>`` scan from -inf,
+    with its row and entry index; ``(-inf, 0, 0)`` when no entry exceeds
+    -inf, so a NaN is never taken.  Ties go to the earlier rule, then the
+    earlier selection."""
+    best, at_k, at_i = float("-inf"), 0, 0
+    for k, row in enumerate(rows):
+        for i, value in enumerate(row):
+            if value > best:
+                best, at_k, at_i = value, k, i
+    return best, at_k, at_i
 
 
 def _selection_at(
@@ -120,8 +122,7 @@ def _selection_at(
     return selection
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     max_deviation_R: float
     max_deviation_R_plus: float
     nodes_checked: int
@@ -138,17 +139,28 @@ def crosscheck(
     priors: PriorSet,
     solution=None,
 ) -> CrosscheckReport:
-    """Compare backward-induction values against brute force at every node."""
+    """Compare backward-induction values against brute force at every node.
+
+    Every node's size guards run first, in ``tree.nodes()`` order, as
+    ``brute_force_value`` runs them; then the rows of every node come from
+    one pass from the root.
+    """
     if solution is None:
         solution = solve(tree, payoff, priors)
     nodes = tree.nodes()
+    for n in nodes:
+        guard_rule_count(tree, n)
+        guard_selection_count(tree, priors, n)
+    rows = continuing_rows(tree, priors.extremes, payoff.__getitem__, tree.root)
     max_r = 0.0
     max_rp = 0.0
     worst = nodes[0]
     for n in nodes:
-        plain, later = _brute_force(tree, payoff, priors, n, strict=False)
-        dev_r = abs(solution.R[n] - plain.value)
-        dev_rp = abs(solution.R_plus[n] - later.value)
+        # both as strict ``>`` scans from -inf, so neither is NaN
+        stop = max(float("-inf"), payoff[n])
+        later = _scan(rows.get(n, [(payoff[n],)]))[0]
+        dev_r = abs(solution.R[n] - max(stop, later))
+        dev_rp = abs(solution.R_plus[n] - later)
         if max(dev_r, dev_rp) > max(max_r, max_rp):
             worst = n
         max_r = max(max_r, dev_r)

@@ -9,8 +9,7 @@ as an interval of one-step up-probabilities around the reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InvalidParamsError, MissingStateError
 from .filtration import AdaptedFamily, EventTree, NodeRecord
@@ -25,8 +24,7 @@ CROSSED_ABOVE = "crossed_above"
 MAX_STEPS = 20
 
 
-@dataclass(frozen=True)
-class CrrParams:
+class CrrParams(NamedTuple):
     """Parameters of the binomial market and of the knock-in put.
 
     ``rate`` is a per-period continuously compounded rate; ``q_up`` is the
@@ -182,8 +180,7 @@ def drift_ambiguity_priors(
     return PriorSet.constant(tree, extremes, mode=mode)
 
 
-@dataclass(frozen=True)
-class PriceResult:
+class PriceResult(NamedTuple):
     hedging_price: float
     exercise_boundary: tuple[str, ...]
     node_up_probability: Mapping[str, float]

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from numbers import Real
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     FloorMismatchError,
@@ -38,8 +37,7 @@ MODE_CLOSURE = "closure"
 MODE_EQUIVALENT = "equivalent"
 
 
-@dataclass(frozen=True)
-class PriorSet:
+class PriorSet(NamedTuple):
     """Per-node convex polytopes of one-step density ratios.
 
     ``extreme_points`` maps each non-terminal node id to a non-empty list of
@@ -132,8 +130,7 @@ def structural_violations(tree: EventTree, priors: PriorSet) -> list[str]:
     return report
 
 
-@dataclass(frozen=True)
-class DensityProcess:
+class DensityProcess(NamedTuple):
     """One element of the prior class: per-edge ratios and cumulative density z.
 
     ``z`` is the running product of ratios along the path from the root, so

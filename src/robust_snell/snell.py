@@ -13,8 +13,7 @@ supremum, which is its definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     InvalidFamilyError,
@@ -25,6 +24,7 @@ from .errors import (
     UndefinedConditionalError,
 )
 from .filtration import (
+    EMPTY_MAPPING,
     AdaptedFamily,
     EventTree,
     RuleWalk,
@@ -80,8 +80,7 @@ def _maximizers(
     return [d for d, v in zip(extremes, values) if v >= best - tie_tol]
 
 
-@dataclass(frozen=True)
-class SnellSolution:
+class SnellSolution(NamedTuple):
     """Output of the backward induction, with the validated inputs it came
     from: ``payoff``, ``priors`` and the tolerance ``tol``.
 
@@ -256,8 +255,7 @@ def extract_optimal_prior(solution: SnellSolution, v: str) -> DensityProcess:
     return DensityProcess.from_ratios(tree, ratios)
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Necessary-and-sufficient optimality certificate for a (rule, prior) pair.
 
     ``cond1``: the value equals the reward at every stop node carrying
@@ -304,17 +302,15 @@ def check_optimality_certificate(
     )
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     passed: bool
     worst_deviation: float
     gating: bool
-    details: Mapping[str, object] = field(default_factory=dict)
+    details: Mapping[str, object] = EMPTY_MAPPING
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     checks: tuple[IdentityCheck, ...]
 
     @property

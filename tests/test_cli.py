@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import os
 import subprocess
@@ -177,6 +176,35 @@ class TestModuleEntryPoint:
         assert result.returncode == 2
         assert result.stderr.startswith("robust-snell: invalid configuration:")
         assert not outdir.exists()
+
+    def test_start_up_loads_neither_dataclasses_nor_inspect(self, tmp_path):
+        # the records are NamedTuples: a start-up that loaded dataclasses (and
+        # with it inspect) would generate and compile their methods each time
+        src = str(Path(robust_snell.__file__).resolve().parents[1])
+        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        config = fixtures.config_path("tt1")
+        runs = {
+            "import": ["-c", "import robust_snell.cli"],
+            "solve": ["-m", "robust_snell", "solve", "--config", str(config),
+                      "--out", str(tmp_path / "module")],
+        }
+        for name, args in runs.items():
+            # -X importtime lists every module the process imports on stderr
+            result = subprocess.run(
+                [sys.executable, "-X", "importtime", *args],
+                env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert result.returncode == 0, result.stderr
+            imported = {
+                line.rsplit("|", 1)[1].strip()
+                for line in result.stderr.splitlines()
+                if line.startswith("import time:")
+            }
+            assert "robust_snell.cli" in imported, name
+            assert not imported & {"dataclasses", "inspect"}, name
 
 
 class TestExitCodes:
@@ -406,7 +434,7 @@ class TestBadValues:
         from robust_snell import cli
 
         def nan_root(*args, **kwargs):
-            return dataclasses.replace(decompose(*args, **kwargs), X0=float("nan"))
+            return decompose(*args, **kwargs)._replace(X0=float("nan"))
 
         decompose = cli.universal_decompose
         monkeypatch.setattr(cli, "universal_decompose", nan_root)

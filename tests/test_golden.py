@@ -6,7 +6,6 @@ runs use the drift-ambiguity knock-in put (up 1.1, down 0.9, K 5, H 3.8,
 ambiguity [0.4, 0.6]) at S0 = 5.
 """
 
-import dataclasses
 import hashlib
 import json
 from typing import Mapping
@@ -180,7 +179,7 @@ def library_text(solution):
             entry += [
                 _canon([(n, process.ratio[n]) for n in nodes if n in process.ratio]),
                 _canon([(n, process.z[n]) for n in nodes if n in process.z]),
-                cert if isinstance(cert, str) else _canon(dataclasses.astuple(cert)),
+                cert if isinstance(cert, str) else _canon(tuple(cert)),
             ]
         parts.append(entry)
     decomp = universal_decompose(solution)

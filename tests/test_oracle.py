@@ -1,3 +1,5 @@
+import json
+import math
 import random
 
 import pytest
@@ -23,7 +25,7 @@ from robust_snell import (
     selection_count,
     solve,
 )
-from robust_snell import filtration, oracle
+from robust_snell import cli, filtration, oracle
 from robust_snell.filtration import step
 from reference import brute_force_strict_value, expected_value_q
 
@@ -89,9 +91,9 @@ def test_selection_guard_still_raises():
         brute_force_value(tree, payoff, priors, "r")
 
 
-def test_rule_cap_is_checked_before_the_selection_guard():
-    # a root with 18 children, each with 2 leaves: 1 + 2**18 = 262,145 rules
-    # (cap 200,000) on 19 decision nodes, and 2**19 selections (guard 4096)
+def wide_root():
+    """A root with 18 children, each with 2 leaves: 1 + 2**18 = 262,145 rules
+    (cap 200,000) on 19 decision nodes, and 2**19 selections (guard 4096)."""
     k = 18
     records = [NodeRecord(id="r", time=0)]
     for i in range(k):
@@ -103,7 +105,11 @@ def test_rule_cap_is_checked_before_the_selection_guard():
     extremes = {f"c{i}": [(1.0, 1.0), (1.5, 0.5)] for i in range(k)}
     extremes["r"] = [(1.0,) * k, (1.5,) * (k // 2) + (0.5,) * (k // 2)]
     priors = PriorSet.from_node_extremes(extremes)
-    payoff = AdaptedFamily.constant(tree, 1.0)
+    return tree, AdaptedFamily.constant(tree, 1.0), priors
+
+
+def test_rule_cap_is_checked_before_the_selection_guard():
+    tree, payoff, priors = wide_root()
     assert selection_count(tree, priors) > 4096
     with pytest.raises(SizeGuardError, match="262145 stopping rules exceed the cap"):
         brute_force_value(tree, payoff, priors, "r")
@@ -279,21 +285,21 @@ def count_steps(monkeypatch, call):
 
 
 def test_crosscheck_folds_each_node_once(monkeypatch):
-    # R(n) comes from the strict enumeration plus the immediate stop, so
-    # crosscheck costs no more steps than the strict oracle at every node
+    # one step per entry of each row: a rule that continues at a node has one
+    # entry per selection of the nodes where it continues, and the rows of
+    # the rules below it are shared, never rebuilt
     tree, payoff, priors = two_extreme_binary_tree(4, seed=7, ambiguous=8)
     solution = solve(tree, payoff, priors)
-    strict = sum(
-        count_steps(
-            monkeypatch, lambda n=n: brute_force_strict_value(tree, payoff, priors, n)
-        )[1]
-        for n in tree.nodes()
+    entries = sum(
+        math.prod(len(priors.extremes(m)) for m in rule.continuation_region(tree))
+        for n in tree.decision_nodes(tree.root)
+        for rule in enumerate_rules(tree, n, strict=True)
     )
     report, calls = count_steps(
         monkeypatch, lambda: crosscheck(tree, payoff, priors, solution=solution)
     )
     assert report.max_deviation < 1e-9
-    assert calls == strict == 62_153
+    assert calls == entries == 46_833
 
 
 def test_crosscheck_step_count_is_under_a_tenth_of_the_triple_loop(monkeypatch):
@@ -312,3 +318,59 @@ def test_crosscheck_step_count_is_under_a_tenth_of_the_triple_loop(monkeypatch):
     )
     assert report.max_deviation < 1e-9
     assert 0 < calls < triple_loop / 10, (calls, triple_loop)
+
+
+def late_root(tmp_path):
+    """A config whose node list has the 31 decision nodes below "c" before
+    the root and its 63."""
+    nodes = []
+    for top in "cb":
+        nodes.append({"id": top, "time": 1, "parent": "r", "q": 0.5, "Y": 1.0})
+        level = [top]
+        for t in range(2, 7):
+            level = [n + m for n in level for m in "ud"]
+            nodes += [
+                {"id": n, "time": t, "parent": n[:-1], "q": 0.5, "Y": float(len(n) % 3)}
+                for n in level
+            ]
+        if top == "c":
+            nodes.append({"id": "r", "time": 0, "Y": 0.5})
+    path = tmp_path / "late_root.json"
+    path.write_text(json.dumps({
+        "tree": {"horizon": 6, "nodes": nodes},
+        "priors": {"interval_up_probability": {"lo": 0.4, "hi": 0.6}},
+    }))
+    cfg = cli.parse_config(path)
+    return cfg.tree, cfg.payoff, cfg.priors
+
+
+@pytest.mark.parametrize("build, messages", [
+    (lambda tmp_path: wide_root(), (
+        "262145 stopping rules exceed the cap 200000",
+        "262145 stopping rules exceed the cap 200000",
+        "262144 stopping rules exceed the cap 200000",
+    )),
+    (lambda tmp_path: two_extreme_binary_tree(5, seed=3), (
+        "subtree at 'r' has 31 decision nodes (guard: 24)",
+    ) * 3),
+    (late_root, (
+        "subtree at 'c' has 31 decision nodes (guard: 24)",
+        "subtree at 'r' has 63 decision nodes (guard: 24)",
+        "subtree at 'r' has 63 decision nodes (guard: 24)",
+    )),
+], ids=["wide_root", "binary5", "late_root"])
+def test_guards_trip_in_node_order(build, messages, tmp_path):
+    # crosscheck runs every node's guards in tree.nodes() order before it
+    # builds a row, so the first node in that order that is too large is
+    # the one named; the oracle at the root names the root
+    tree, payoff, priors = build(tmp_path)
+    calls = (
+        lambda: crosscheck(tree, payoff, priors),
+        lambda: brute_force_value(tree, payoff, priors, tree.root),
+        lambda: brute_force_strict_value(tree, payoff, priors, tree.root),
+    )
+    for call, message in zip(calls, messages):
+        with pytest.raises(SizeGuardError) as info:
+            call()
+        assert type(info.value) is SizeGuardError
+        assert str(info.value) == message

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import pytest
@@ -110,7 +109,7 @@ def instances(tt1, tt3, tt4, crr_put):
         tree, _, priors = random_instance(seed)
         yield tree, priors
     for steps in range(2, 9):
-        tree = build_crr_barrier_tree(dataclasses.replace(crr_put, steps=steps))
+        tree = build_crr_barrier_tree(crr_put._replace(steps=steps))
         yield tree, drift_ambiguity_priors(tree, crr_put)
 
 

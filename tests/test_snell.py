@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -388,7 +387,7 @@ class TestValueIdentities:
     def test_root_selection_guard_covers_every_subtree(self, crr_put):
         # no subtree has more extreme selections than the root, so the
         # guard at the root is the only one the enumeration needs
-        params = dataclasses.replace(crr_put, steps=4)
+        params = crr_put._replace(steps=4)
         tree = build_crr_barrier_tree(params)
         sol = solve(tree, knockin_payoff(tree, params), drift_ambiguity_priors(tree, params))
         assert selection_count(tree, sol.priors) == 2**15
@@ -429,7 +428,7 @@ def test_validators_reject_non_finite(tt1, where, x):
     tree, payoff, priors = tt1.tree, tt1.payoff, tt1.priors
     if where == "edge-q":
         records = [
-            dataclasses.replace(tree.node(n), q=x) if n == "u" else tree.node(n)
+            tree.node(n)._replace(q=x) if n == "u" else tree.node(n)
             for n in tree.nodes()
         ]
         with pytest.raises(InvalidTreeError, match="node u: edge probability"):
