@@ -7,11 +7,11 @@ component breaks exactly one condition.
 """
 
 from robust_snell import (
+    bayes_conditional,
     check_optimality_certificate,
     density_process,
     extract_optimal_prior,
     fixtures,
-    gamma,
     solve,
     stop_at_time_rule,
     u_star,
@@ -24,7 +24,7 @@ z_star = extract_optimal_prior(sol, "r")
 
 print("value at the root:", sol.R["r"])
 print("extracted prior density along the tree:", dict(z_star.z))
-print("conditional reward under the pair:", gamma(cfg.tree, cfg.payoff, z_star, rule, "r"))
+print("conditional reward under the pair:", bayes_conditional(cfg.tree, z_star, cfg.payoff, rule, "r"))
 
 cert = check_optimality_certificate(sol, rule, z_star)
 print("certificate (optimal, reward-touch, martingale):",

@@ -34,7 +34,6 @@ from .filtration import (
     NodeRecord,
     StoppingRule,
     count_rules,
-    enumerate_rules,
     first_entry_rule,
     stop_at_time_rule,
     validate_family,
@@ -45,21 +44,16 @@ from .priors import (
     PriorSet,
     bayes_conditional,
     density_process,
-    extreme_selections,
     selection_count,
 )
 from .snell import (
     CertificateReport,
-    IdentityCheck,
-    IdentityReport,
     SnellSolution,
     check_optimality_certificate,
     extract_optimal_prior,
-    gamma,
     solve,
     u_alpha,
     u_star,
-    verify_value_identities,
 )
 from .decomposition import (
     Decomposition,

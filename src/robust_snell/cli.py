@@ -205,21 +205,26 @@ def _write_outputs(
 
 
 def _number(value: object, what: str) -> float:
-    """``float(value)`` if that is finite, else a ConfigError naming ``what``."""
+    """``float(value)`` of a JSON number (not a boolean) if that is finite,
+    else a ConfigError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what}: {value!r} is not a number")
     try:
         x = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what}: {value!r} is not a number") from exc
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ConfigError(f"{what}: {value!r} is not finite")
     return x
 
 
 def _integer(value: object, what: str) -> int:
-    """``int(value)``, but a ConfigError naming ``what`` if ``value`` is a
-    float with a fractional part (which ``int`` would truncate), NaN or an
-    infinity."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)`` of an int (not a boolean) or of a float with no
+    fractional part, which ``int`` would truncate, else a ConfigError naming
+    ``what``."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
         raise ConfigError(f"{what}: {value!r} is not an integer")
     return int(value)
 
@@ -240,7 +245,7 @@ def _parse_tree_block(block: Mapping) -> tuple[EventTree, AdaptedFamily]:
     try:
         horizon = _integer(block["horizon"], "tree horizon")
         node_dicts = _list(block["nodes"], "tree nodes")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
         raise ConfigError(f"tree block missing horizon or nodes: {exc}") from exc
     records = []
     payoff = {}
@@ -248,7 +253,7 @@ def _parse_tree_block(block: Mapping) -> tuple[EventTree, AdaptedFamily]:
         try:
             node_id = str(nd["id"])
             time = _integer(nd["time"], f"node {node_id!r} time")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"node entry missing id or time: {nd!r}") from exc
         if "Y" not in nd:
             raise ConfigError(f"node {node_id!r} has no payoff value Y")
@@ -319,7 +324,7 @@ def parse_config(path: str | Path) -> RunConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer too long to convert
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
@@ -339,10 +344,7 @@ def parse_config(path: str | Path) -> RunConfig:
     tolerance = _number(raw.get("tolerance", DEFAULT_TOL), "tolerance")
     if tolerance <= 0:
         raise ConfigError(f"tolerance {tolerance:g} must be positive")
-    try:
-        seed = _integer(raw.get("seed", 0), "seed")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"seed: {exc}") from exc
+    seed = _integer(raw.get("seed", 0), "seed")
 
     crr_params = None
     if has_crr:
@@ -365,7 +367,7 @@ def parse_config(path: str | Path) -> RunConfig:
                 q_up=_number(block.get("q_up", 0.5), "crr q_up"),
                 ambiguity=tuple(_number(x, "crr ambiguity") for x in ambiguity),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except KeyError as exc:
             raise ConfigError(f"bad crr block: {exc}") from exc
         tree = build_crr_barrier_tree(crr_params)
         payoff = knockin_payoff(tree, crr_params)

@@ -340,53 +340,24 @@ def step(q: Sequence[float], d: Iterable[float], values: Iterable[float]) -> flo
     return total
 
 
-def fold_rows(
-    walk: RuleWalk,
-    q: Callable[[str], Sequence[float]],
-    choices: Callable[[str], Sequence[Sequence[float]]],
-    stopped: Mapping[str, float],
-) -> tuple[float, ...]:
-    """Values at the walk's floor under every choice of ratios on its
-    continuation nodes.
-
-    A cut node's row is ``(stopped[s],)``; every continuation node, children
-    first, takes ``step(q(n), d, combo)`` for each ``d`` in ``choices(n)``
-    and, inside it, each combination of its children's rows.  So the floor's
-    row lists the value under every selection in mixed-radix order over the
-    continuation nodes in preorder, the first node's choice varying slowest.
-    Subtree values are shared between selections, never recomputed.  With one
-    choice per node the row has one entry: the value of the stopped family
-    under those ratios.
-    """
-    rows: dict[str, tuple[float, ...]] = {s: (y,) for s, y in stopped.items()}
-    for n, children in walk.continuation:
-        qn = q(n)
-        child_rows = [rows[c] for c in children]
-        rows[n] = tuple(
-            step(qn, d, combo)
-            for d in choices(n)
-            for combo in itertools.product(*child_rows)
-        )
-    return rows[walk.floor]
-
-
 def continuing_rows(
     tree: EventTree,
     choices: Callable[[str], Sequence[Sequence[float]]],
     stopped: Callable[[str], float],
     v: str,
 ) -> dict[str, list[tuple[float, ...]]]:
-    """The ``fold_rows`` row of every rule that continues at each decision
-    node of the subtree at ``v``, built once for all of those rules.
+    """The values of every stopping rule that continues at each decision node
+    of the subtree at ``v``: one row per rule, built once for all of them.
 
-    Nodes are built children before parents.  A child offers its immediate
-    stop ``(stopped(c),)`` and then its own continuing rows; each combination
-    of the children's offers, in ``enumerate_rules`` order, gives one row:
+    The order of those rules is defined here.  A child offers its immediate
+    stop, then its own continuing rules in the order of its rows; the rules
+    continuing at ``n`` are the combinations of its children's offers in
+    mixed-radix order, the first child varying slowest.  A rule's row holds
     ``step(q, d, combo)`` for each ``d`` in ``choices(n)`` and, inside it,
-    each combination ``combo`` of the offered rows.  So a node's list is
-    index-aligned with the rules that continue there, and each row holds the
-    same floats, in the same order, as ``fold_rows`` gives for its rule.  A
-    child's rows are computed once and shared by every row of its parent.
+    each combination ``combo`` of the offered rows, a stop at ``c`` offering
+    ``(stopped(c),)``: its value under every selection on the nodes where it
+    continues, in mixed-radix order over them in preorder.  Nodes are built
+    children before parents, so a child's rows are shared by all its parent's.
     """
     rows: dict[str, list[tuple[float, ...]]] = {}
     for n in reversed(tree.decision_nodes(v)):
@@ -450,30 +421,3 @@ def guard_rule_count(tree: EventTree, v: str, strict: bool = False) -> None:
     total = count_rules(tree, v, strict)
     if total > MAX_RULES:
         raise SizeGuardError(f"{total} stopping rules exceed the cap {MAX_RULES}")
-
-
-def enumerate_rules(tree: EventTree, v: str, strict: bool = False) -> list[StoppingRule]:
-    """All stopping rules anchored at ``v``, each exactly once, in a fixed order.
-
-    The order is deterministic: on each subtree the immediate stop comes
-    first, followed by the cartesian combinations of child enumerations.
-    At a non-terminal ``v`` the strict list is therefore the non-strict one
-    without its first rule.  ``guard_rule_count`` runs first.
-    """
-    guard_rule_count(tree, v, strict)
-
-    def continuing(n: str) -> list[dict[str, bool]]:
-        """Labels of the rules that continue at the non-terminal ``n``."""
-        combos = []
-        for parts in itertools.product(*map(label_sets, tree.children(n))):
-            lab = {n: False}
-            for part in parts:
-                lab.update(part)
-            combos.append(lab)
-        return combos
-
-    def label_sets(n: str) -> list[dict[str, bool]]:
-        return [{n: True}] if tree.is_terminal(n) else [{n: True}, *continuing(n)]
-
-    all_labels = continuing(v) if strict and not tree.is_terminal(v) else label_sets(v)
-    return [StoppingRule(labels=lab, floor=v, strict=strict) for lab in all_labels]

@@ -13,8 +13,10 @@ The rows of these values are built once, children before parents
 (``filtration.continuing_rows``): a rule that continues at a node combines
 its children's rules, so each child's rows are computed once and shared by
 every rule and selection above it, and one pass from the root gives the rows
-of every node.  The size guards are those of ``enumerate_rules`` followed by
-the ``MAX_SELECTIONS`` guard on every selection below the node.
+of every node.  The winning rule and selection are decoded from their row
+and entry index, so the order of the rules is defined there alone.  The
+size guards are ``guard_rule_count`` followed by the ``MAX_SELECTIONS``
+guard on every selection below the node.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .filtration import (
     EventTree,
     StoppingRule,
     continuing_rows,
-    enumerate_rules,
     guard_rule_count,
 )
 from .priors import PriorSet, guard_selection_count
@@ -64,21 +65,20 @@ def _brute_force(
 
     ``strict`` selects the class whose size the rule cap counts.
     """
-    rules = enumerate_rules(tree, v, strict=strict)
+    guard_rule_count(tree, v, strict)
     # ratios outside the subtree at v cannot affect a value there, so only
     # the selections below v are counted against the guard
     guard_selection_count(tree, priors, v)
-    if not (strict or tree.is_terminal(v)):
-        rules = rules[1:]
     nodes = tree.decision_nodes(v)
     extremes = {n: priors.extremes(n) for n in nodes}
     rows = continuing_rows(tree, extremes.__getitem__, payoff.__getitem__, v)
     # the one rule at a terminal v stops there
     value, k, i = _scan(rows.get(v, [(payoff[v],)]))
+    rule = _rule_at(tree, rows, v, k, strict)
     later = BruteForceResult(
         value=value,
-        best_rule=rules[k],
-        best_selection=_selection_at(nodes, rules[k].walk(tree).continuation, extremes, i),
+        best_rule=rule,
+        best_selection=_selection_at(nodes, rule.walk(tree).continuation, extremes, i),
     )
     stop = BruteForceResult(
         # as in a strict ``>`` scan from -inf, a NaN reward is never taken
@@ -102,17 +102,45 @@ def _scan(rows: Sequence[Sequence[float]]) -> tuple[float, int, int]:
     return best, at_k, at_i
 
 
+def _rule_at(
+    tree: EventTree,
+    rows: dict[str, list[tuple[float, ...]]],
+    v: str,
+    k: int,
+    strict: bool,
+) -> StoppingRule:
+    """The rule of row ``k`` of ``rows[v]``, or at a terminal ``v`` the one
+    rule there, which stops at ``v``.
+
+    ``k`` is decoded in mixed radix over the children, the last varying
+    fastest, each child ``c`` with radix ``1 + len(rows[c])``: digit 0 stops
+    at ``c``, and digit j continues there with the rule of row j - 1 of
+    ``rows[c]``.  Labels are set in preorder from ``v``.
+    """
+    labels: dict[str, bool] = {}
+    stack = [(v, k + 1 if v in rows else 0)]
+    while stack:
+        n, j = stack.pop()
+        labels[n] = not j
+        if j:
+            k = j - 1
+            for c in reversed(tree.children(n)):
+                k, digit = divmod(k, 1 + len(rows.get(c, ())))
+                stack.append((c, digit))
+    return StoppingRule(labels=labels, floor=v, strict=strict)
+
+
 def _selection_at(
     nodes: tuple[str, ...],
     continuation: tuple[tuple[str, tuple[str, ...]], ...],
     extremes: dict[str, Sequence[tuple[float, ...]]],
     index: int,
 ) -> dict[str, int]:
-    """Decode a ``fold_rows`` index of a walk with ``continuation`` into a
-    selection on ``nodes``.
+    """Decode entry ``index`` of the ``continuing_rows`` row of a rule whose
+    walk has ``continuation`` into a selection on ``nodes``.
 
     Nodes where the rule stops or that it never reaches get extreme 0, so the
-    result is the first selection, in ``extreme_selections`` order, that
+    result is the first selection, in mixed-radix order over ``nodes``, that
     gives the rule this value.
     """
     continuing = {n for n, _ in continuation}

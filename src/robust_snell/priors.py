@@ -22,7 +22,7 @@ from .errors import (
     SizeGuardError,
     UndefinedConditionalError,
 )
-from .filtration import AdaptedFamily, EventTree, StoppingRule, fold_rows, step
+from .filtration import AdaptedFamily, EventTree, StoppingRule, step
 
 #: absolute tolerance on one-step martingale sums
 MARTINGALE_TOL = 1e-12
@@ -254,10 +254,12 @@ def bayes_conditional(
             f"conditioning on node {v!r} which carries zero density mass"
         )
     walk = rule.walk(tree)
-    stopped = {s: family[s] for s in walk.cut}
-    return fold_rows(
-        walk, tree.q_vector, lambda n: (process.ratio_at(n),), stopped
-    )[0]
+    values = {s: family[s] for s in walk.cut}
+    for n, children in walk.continuation:
+        values[n] = step(
+            tree.q_vector(n), process.ratio_at(n), [values[c] for c in children]
+        )
+    return values[v]
 
 
 def selection_count(tree: EventTree, priors: PriorSet, v: str | None = None) -> int:
@@ -277,18 +279,3 @@ def guard_selection_count(tree: EventTree, priors: PriorSet, v: str) -> None:
         raise SizeGuardError(
             f"{total} extreme selections exceed the guard {MAX_SELECTIONS}"
         )
-
-
-def extreme_selections(
-    tree: EventTree, priors: PriorSet, v: str | None = None
-) -> list[dict[str, int]]:
-    """All pure per-node extreme selections, in mixed-radix order.
-
-    For a pasting-stable hull, any supremum of a per-path-linear objective over
-    the class is attained at one of these selections.
-    """
-    v = tree.root if v is None else v
-    guard_selection_count(tree, priors, v)
-    nodes = tree.decision_nodes(v)
-    ranges = [range(len(priors.extremes(n))) for n in nodes]
-    return [dict(zip(nodes, combo)) for combo in itertools.product(*ranges)]

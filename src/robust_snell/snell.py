@@ -24,16 +24,11 @@ from .errors import (
     UndefinedConditionalError,
 )
 from .filtration import (
-    EMPTY_MAPPING,
     AdaptedFamily,
     EventTree,
-    RuleWalk,
     StoppingRule,
-    enumerate_rules,
     first_entry_rule,
-    fold_rows,
     step,
-    stop_at_time_rule,
     validate_family,
     validate_tree,
 )
@@ -42,19 +37,11 @@ from .priors import (
     DensityProcess,
     PriorSet,
     bayes_conditional,
-    density_process,
-    extreme_selections,
     structural_violations,
 )
 
 #: default absolute floor of the relative comparison tolerance
 DEFAULT_TOL = 1e-9
-
-#: absolute tolerance of the value identities checked by enumeration
-IDENTITY_TOL = 1e-10
-
-#: the fractions alpha whose alpha-rules the value identities are checked at
-IDENTITY_ALPHAS = (0.2, 0.4, 0.6, 0.8, 0.95, 1.0)
 
 #: extremes whose continuation value is within this much of the best, relative
 #: to the best (at least 1), tie for the maximum in equivalent mode
@@ -162,17 +149,6 @@ def solve(
         stop_region=stop_region,
         unattained=tuple(unattained),
     )
-
-
-def gamma(
-    tree: EventTree,
-    payoff: AdaptedFamily,
-    process: DensityProcess,
-    rule: StoppingRule,
-    v: str,
-) -> float:
-    """Conditional expected stopped reward under one prior (Bayes rule)."""
-    return bayes_conditional(tree, process, payoff, rule, v)
 
 
 def u_alpha(solution: SnellSolution, v: str, alpha: float) -> StoppingRule:
@@ -292,7 +268,7 @@ def check_optimality_certificate(
         )
         for n, children in walk.continuation
     )
-    value = gamma(tree, payoff, process, rule, v)
+    value = bayes_conditional(tree, process, payoff, rule, v)
     return CertificateReport(
         optimal=cond1 and cond2,
         cond1=cond1,
@@ -300,155 +276,3 @@ def check_optimality_certificate(
         value=value,
         value_target=R[v],
     )
-
-
-class IdentityCheck(NamedTuple):
-    name: str
-    passed: bool
-    worst_deviation: float
-    gating: bool
-    details: Mapping[str, object] = EMPTY_MAPPING
-
-
-class IdentityReport(NamedTuple):
-    checks: tuple[IdentityCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.gating)
-
-    def check(self, name: str) -> IdentityCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def verify_value_identities(solution: SnellSolution) -> IdentityReport:
-    """Verify the structural identities of the value families by enumeration.
-
-    Each check compares to ``IDENTITY_TOL`` from the root.  Checks, in order:
-
-    - the value equals the max of the reward and the strict value at every
-      node (exact recursion identity);
-    - for each alpha in ``IDENTITY_ALPHAS``, the value at every node equals
-      the best conditional value of itself stopped at the alpha-rule;
-    - the tower identity for the strict value: its conditional expectation
-      under a fixed prior up to a stop equals the best reward over strictly
-      later stops when the prior may be re-chosen afterwards;
-    - the same identity with the prior held fixed throughout, which fails in
-      general under genuine ambiguity and is reported (not gated) with both
-      sides.
-
-    Raises SizeGuardError when the root has more than ``MAX_SELECTIONS``
-    extreme selections.  No subtree has more: ``solve`` gave every decision
-    node at least one extreme.
-    """
-    tree, payoff, priors = solution.tree, solution.payoff, solution.priors
-    v = tree.root
-    measures = [DensityProcess.reference(tree)]
-    for sel in extreme_selections(tree, priors, v)[:8]:
-        measures.append(density_process(tree, priors, sel))
-    taus = [stop_at_time_rule(tree, t, v) for t in range(tree.horizon + 1)]
-
-    checks: list[IdentityCheck] = []
-
-    # value is the max of reward and strict value, node by node
-    dev_max = max(
-        abs(solution.R[n] - max(payoff[n], solution.R_plus[n])) for n in tree.nodes()
-    )
-    checks.append(
-        IdentityCheck(
-            name="value_is_max_of_reward_and_strict_value",
-            passed=dev_max <= IDENTITY_TOL,
-            worst_deviation=dev_max,
-            gating=True,
-        )
-    )
-
-    # value equals the best continuation to the alpha-rule, all nodes, all alphas
-    dev_alpha = 0.0
-    worst_detail: dict[str, object] = {}
-    for alpha in IDENTITY_ALPHAS:
-        for n in tree.nodes():
-            # the best over pure extreme selections of R stopped at the rule
-            walk = u_alpha(solution, n, alpha).walk(tree)
-            stopped = {s: solution.R[s] for s in walk.cut}
-            lhs = solution.R[n]
-            rhs = max(float("-inf"), *fold_rows(walk, tree.q_vector, priors.extremes, stopped))
-            dev = abs(lhs - rhs)
-            if dev > dev_alpha:
-                dev_alpha = dev
-                worst_detail = {"alpha": alpha, "node": n, "lhs": lhs, "rhs": rhs}
-    checks.append(
-        IdentityCheck(
-            name="value_equals_best_continuation_to_alpha_rule",
-            passed=dev_alpha <= IDENTITY_TOL,
-            worst_deviation=dev_alpha,
-            gating=True,
-            details=worst_detail,
-        )
-    )
-
-    # tower identity for the strict value, with and without re-chosen priors:
-    # the rules stopping strictly after tau, where tau stops before the
-    # horizon, are those whose cut holds none of tau's continuation nodes
-    # and none of its earlier stops
-    nodes = tree.decision_nodes(v)
-    q = {n: tree.q_vector(n) for n in nodes}
-    walks: list[tuple[RuleWalk, dict[str, float]]] | None = None
-    later_walks = []
-    for tau in taus:
-        tau_walk = tau.walk(tree)
-        if walks is None:
-            # the rules at v, enumerated and walked once, when a tau needs them
-            walks = [
-                (walk, {s: payoff[s] for s in walk.cut})
-                for walk in (sigma.walk(tree) for sigma in enumerate_rules(tree, v))
-            ]
-        forced = frozenset(n for n, _ in tau_walk.continuation)
-        passed = forced.union(s for s in tau_walk.cut if tree.time(s) < tree.horizon)
-        later_walks.append((forced, [w for w in walks if passed.isdisjoint(w[1])]))
-    dev_tower = 0.0
-    tower_detail: dict[str, object] = {}
-    literal_entries: list[dict[str, float]] = []
-    literal_dev = 0.0
-    for base in measures:
-        if base.z.get(v, 0.0) == 0.0:
-            continue
-        for tau, (forced, later) in zip(taus, later_walks):
-            lhs = bayes_conditional(tree, base, solution.R_plus, tau, v)
-            fixed = {n: (base.ratio_at(n),) for n in nodes}
-            # re-pasted: base before tau, any extreme from tau on
-            choices = {n: fixed[n] if n in forced else priors.extremes(n) for n in nodes}
-            rhs = float("-inf")
-            literal = []
-            for walk, stopped in later:
-                rhs = max(rhs, *fold_rows(walk, q.__getitem__, choices.__getitem__, stopped))
-                literal.append(fold_rows(walk, q.__getitem__, fixed.__getitem__, stopped)[0])
-            dev = abs(lhs - rhs)
-            if dev > dev_tower:
-                dev_tower = dev
-                tower_detail = {"lhs": lhs, "rhs": rhs}
-            rhs_literal = max(literal)
-            literal_entries.append({"lhs": lhs, "rhs": rhs_literal})
-            literal_dev = max(literal_dev, abs(lhs - rhs_literal))
-    checks.append(
-        IdentityCheck(
-            name="strict_value_tower_with_repasted_priors",
-            passed=dev_tower <= IDENTITY_TOL,
-            worst_deviation=dev_tower,
-            gating=True,
-            details=tower_detail,
-        )
-    )
-    checks.append(
-        IdentityCheck(
-            name="strict_value_tower_with_fixed_prior",
-            passed=literal_dev <= IDENTITY_TOL,
-            worst_deviation=literal_dev,
-            gating=False,
-            details={"entries": tuple(literal_entries)},
-        )
-    )
-    return IdentityReport(checks=tuple(checks))

@@ -8,13 +8,19 @@ per-prior Doob split and the orthogonal projection of one increment, the
 one-step supermartingale test under every extreme, the strict brute-force
 value, and a prior-set validator that also rejects boundary points in
 equivalent mode.
+
+They also enumerate what the package only counts or builds rows for: every
+stopping rule at a node (``enumerate_rules``), every pure extreme selection
+(``extreme_selections``) and the values of one rule under every choice of
+ratios (``fold_rows``); and they check the structural identities of the
+value families by that enumeration (``verify_value_identities``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from robust_snell import (
     AdaptedFamily,
@@ -27,18 +33,22 @@ from robust_snell import (
     PriorSet,
     RobustSnellError,
     StoppingRule,
+    bayes_conditional,
+    density_process,
     first_entry_rule,
+    stop_at_time_rule,
 )
 from robust_snell.decomposition import _project
-from robust_snell.filtration import fold_rows, step
+from robust_snell.filtration import EMPTY_MAPPING, RuleWalk, guard_rule_count, step
 from robust_snell.oracle import _brute_force
 from robust_snell.priors import (
     MARTINGALE_TOL,
     MODE_CLOSURE,
     MODE_EQUIVALENT,
+    guard_selection_count,
     structural_violations,
 )
-from robust_snell.snell import DEFAULT_TOL
+from robust_snell.snell import DEFAULT_TOL, SnellSolution, u_alpha
 
 #: absolute tolerance on z against the cumulative product of its ratios
 CUMULATIVE_TOL = 1e-10
@@ -50,6 +60,12 @@ DOOB_TOL = 1e-9
 #: bound on an increment's reference mean, relative to its largest entry
 #: (at least 1)
 MEAN_TOL = 1e-9
+
+#: absolute tolerance of the value identities checked by enumeration
+IDENTITY_TOL = 1e-10
+
+#: the fractions alpha whose alpha-rules the value identities are checked at
+IDENTITY_ALPHAS = (0.2, 0.4, 0.6, 0.8, 0.95, 1.0)
 
 
 class NotASupermartingaleError(RobustSnellError):
@@ -126,6 +142,63 @@ def max_rule(tree: EventTree, r1: StoppingRule, r2: StoppingRule) -> StoppingRul
         if not labels[n]:
             stack.extend((c, d1, d2) for c in reversed(tree.children(n)))
     return StoppingRule(labels=labels, floor=r1.floor, strict=r1.strict or r2.strict)
+
+
+def enumerate_rules(tree: EventTree, v: str, strict: bool = False) -> list[StoppingRule]:
+    """All stopping rules anchored at ``v``, each exactly once, in a fixed order.
+
+    The order is deterministic: on each subtree the immediate stop comes
+    first, followed by the cartesian combinations of child enumerations.
+    At a non-terminal ``v`` the strict list is therefore the non-strict one
+    without its first rule.  ``guard_rule_count`` runs first.
+    """
+    guard_rule_count(tree, v, strict)
+
+    def continuing(n: str) -> list[dict[str, bool]]:
+        """Labels of the rules that continue at the non-terminal ``n``."""
+        combos = []
+        for parts in itertools.product(*map(label_sets, tree.children(n))):
+            lab = {n: False}
+            for part in parts:
+                lab.update(part)
+            combos.append(lab)
+        return combos
+
+    def label_sets(n: str) -> list[dict[str, bool]]:
+        return [{n: True}] if tree.is_terminal(n) else [{n: True}, *continuing(n)]
+
+    all_labels = continuing(v) if strict and not tree.is_terminal(v) else label_sets(v)
+    return [StoppingRule(labels=lab, floor=v, strict=strict) for lab in all_labels]
+
+
+def fold_rows(
+    walk: RuleWalk,
+    q: Callable[[str], Sequence[float]],
+    choices: Callable[[str], Sequence[Sequence[float]]],
+    stopped: Mapping[str, float],
+) -> tuple[float, ...]:
+    """Values at the walk's floor under every choice of ratios on its
+    continuation nodes.
+
+    A cut node's row is ``(stopped[s],)``; every continuation node, children
+    first, takes ``step(q(n), d, combo)`` for each ``d`` in ``choices(n)``
+    and, inside it, each combination of its children's rows.  So the floor's
+    row lists the value under every selection in mixed-radix order over the
+    continuation nodes in preorder, the first node's choice varying slowest.
+    Subtree values are shared between selections, never recomputed.  With one
+    choice per node the row has one entry: the value of the stopped family
+    under those ratios.
+    """
+    rows: dict[str, tuple[float, ...]] = {s: (y,) for s, y in stopped.items()}
+    for n, children in walk.continuation:
+        qn = q(n)
+        child_rows = [rows[c] for c in children]
+        rows[n] = tuple(
+            step(qn, d, combo)
+            for d in choices(n)
+            for combo in itertools.product(*child_rows)
+        )
+    return rows[walk.floor]
 
 
 def step_expectation_q(
@@ -254,6 +327,21 @@ def convex_combine(
     return DensityProcess(ratio=ratios, z=z)
 
 
+def extreme_selections(
+    tree: EventTree, priors: PriorSet, v: str | None = None
+) -> list[dict[str, int]]:
+    """All pure per-node extreme selections, in mixed-radix order.
+
+    For a pasting-stable hull, any supremum of a per-path-linear objective over
+    the class is attained at one of these selections.
+    """
+    v = tree.root if v is None else v
+    guard_selection_count(tree, priors, v)
+    nodes = tree.decision_nodes(v)
+    ranges = [range(len(priors.extremes(n))) for n in nodes]
+    return [dict(zip(nodes, combo)) for combo in itertools.product(*ranges)]
+
+
 # -- value families and their decompositions ------------------------------
 
 
@@ -351,3 +439,158 @@ def brute_force_strict_value(
     """Same supremum as ``brute_force_value`` over rules that must continue
     at a non-terminal ``v``."""
     return _brute_force(tree, payoff, priors, v, strict=True)[1].value
+
+
+# -- value identities by enumeration --------------------------------------
+
+
+class IdentityCheck(NamedTuple):
+    name: str
+    passed: bool
+    worst_deviation: float
+    gating: bool
+    details: Mapping[str, object] = EMPTY_MAPPING
+
+
+class IdentityReport(NamedTuple):
+    checks: tuple[IdentityCheck, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks if c.gating)
+
+    def check(self, name: str) -> IdentityCheck:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
+
+def verify_value_identities(solution: SnellSolution) -> IdentityReport:
+    """Verify the structural identities of the value families by enumeration.
+
+    Each check compares to ``IDENTITY_TOL`` from the root.  Checks, in order:
+
+    - the value equals the max of the reward and the strict value at every
+      node (exact recursion identity);
+    - for each alpha in ``IDENTITY_ALPHAS``, the value at every node equals
+      the best conditional value of itself stopped at the alpha-rule;
+    - the tower identity for the strict value: its conditional expectation
+      under a fixed prior up to a stop equals the best reward over strictly
+      later stops when the prior may be re-chosen afterwards;
+    - the same identity with the prior held fixed throughout, which fails in
+      general under genuine ambiguity and is reported (not gated) with both
+      sides.
+
+    Raises SizeGuardError when the root has more than ``MAX_SELECTIONS``
+    extreme selections.  No subtree has more: ``solve`` gave every decision
+    node at least one extreme.
+    """
+    tree, payoff, priors = solution.tree, solution.payoff, solution.priors
+    v = tree.root
+    measures = [DensityProcess.reference(tree)]
+    for sel in extreme_selections(tree, priors, v)[:8]:
+        measures.append(density_process(tree, priors, sel))
+    taus = [stop_at_time_rule(tree, t, v) for t in range(tree.horizon + 1)]
+
+    checks: list[IdentityCheck] = []
+
+    # value is the max of reward and strict value, node by node
+    dev_max = max(
+        abs(solution.R[n] - max(payoff[n], solution.R_plus[n])) for n in tree.nodes()
+    )
+    checks.append(
+        IdentityCheck(
+            name="value_is_max_of_reward_and_strict_value",
+            passed=dev_max <= IDENTITY_TOL,
+            worst_deviation=dev_max,
+            gating=True,
+        )
+    )
+
+    # value equals the best continuation to the alpha-rule, all nodes, all alphas
+    dev_alpha = 0.0
+    worst_detail: dict[str, object] = {}
+    for alpha in IDENTITY_ALPHAS:
+        for n in tree.nodes():
+            # the best over pure extreme selections of R stopped at the rule
+            walk = u_alpha(solution, n, alpha).walk(tree)
+            stopped = {s: solution.R[s] for s in walk.cut}
+            lhs = solution.R[n]
+            rhs = max(float("-inf"), *fold_rows(walk, tree.q_vector, priors.extremes, stopped))
+            dev = abs(lhs - rhs)
+            if dev > dev_alpha:
+                dev_alpha = dev
+                worst_detail = {"alpha": alpha, "node": n, "lhs": lhs, "rhs": rhs}
+    checks.append(
+        IdentityCheck(
+            name="value_equals_best_continuation_to_alpha_rule",
+            passed=dev_alpha <= IDENTITY_TOL,
+            worst_deviation=dev_alpha,
+            gating=True,
+            details=worst_detail,
+        )
+    )
+
+    # tower identity for the strict value, with and without re-chosen priors:
+    # the rules stopping strictly after tau, where tau stops before the
+    # horizon, are those whose cut holds none of tau's continuation nodes
+    # and none of its earlier stops
+    nodes = tree.decision_nodes(v)
+    q = {n: tree.q_vector(n) for n in nodes}
+    walks: list[tuple[RuleWalk, dict[str, float]]] | None = None
+    later_walks = []
+    for tau in taus:
+        tau_walk = tau.walk(tree)
+        if walks is None:
+            # the rules at v, enumerated and walked once, when a tau needs them
+            walks = [
+                (walk, {s: payoff[s] for s in walk.cut})
+                for walk in (sigma.walk(tree) for sigma in enumerate_rules(tree, v))
+            ]
+        forced = frozenset(n for n, _ in tau_walk.continuation)
+        passed = forced.union(s for s in tau_walk.cut if tree.time(s) < tree.horizon)
+        later_walks.append((forced, [w for w in walks if passed.isdisjoint(w[1])]))
+    dev_tower = 0.0
+    tower_detail: dict[str, object] = {}
+    literal_entries: list[dict[str, float]] = []
+    literal_dev = 0.0
+    for base in measures:
+        if base.z.get(v, 0.0) == 0.0:
+            continue
+        for tau, (forced, later) in zip(taus, later_walks):
+            lhs = bayes_conditional(tree, base, solution.R_plus, tau, v)
+            fixed = {n: (base.ratio_at(n),) for n in nodes}
+            # re-pasted: base before tau, any extreme from tau on
+            choices = {n: fixed[n] if n in forced else priors.extremes(n) for n in nodes}
+            rhs = float("-inf")
+            literal = []
+            for walk, stopped in later:
+                rhs = max(rhs, *fold_rows(walk, q.__getitem__, choices.__getitem__, stopped))
+                literal.append(fold_rows(walk, q.__getitem__, fixed.__getitem__, stopped)[0])
+            dev = abs(lhs - rhs)
+            if dev > dev_tower:
+                dev_tower = dev
+                tower_detail = {"lhs": lhs, "rhs": rhs}
+            rhs_literal = max(literal)
+            literal_entries.append({"lhs": lhs, "rhs": rhs_literal})
+            literal_dev = max(literal_dev, abs(lhs - rhs_literal))
+    checks.append(
+        IdentityCheck(
+            name="strict_value_tower_with_repasted_priors",
+            passed=dev_tower <= IDENTITY_TOL,
+            worst_deviation=dev_tower,
+            gating=True,
+            details=tower_detail,
+        )
+    )
+    checks.append(
+        IdentityCheck(
+            name="strict_value_tower_with_fixed_prior",
+            passed=literal_dev <= IDENTITY_TOL,
+            worst_deviation=literal_dev,
+            gating=False,
+            details={"entries": tuple(literal_entries)},
+        )
+    )
+    return IdentityReport(checks=tuple(checks))

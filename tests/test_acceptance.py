@@ -24,6 +24,7 @@ import time
 from robust_snell import (
     CrrParams,
     PriorSet,
+    bayes_conditional,
     brute_force_value,
     build_crr_barrier_tree,
     check_optimality_certificate,
@@ -31,10 +32,8 @@ from robust_snell import (
     density_process,
     drift_ambiguity_priors,
     extract_optimal_prior,
-    extreme_selections,
     first_entry_rule,
     fixtures,
-    gamma,
     knockin_payoff,
     premise_check,
     price,
@@ -46,9 +45,9 @@ from robust_snell import (
     u_star,
     universal_decompose,
     vanilla_put_payoff,
-    verify_value_identities,
 )
 from robust_snell.cli import run as cli_run
+from reference import extreme_selections, verify_value_identities
 
 ALPHA_GRID = (0.2, 0.4, 0.6, 0.8, 0.95, 1.0)
 
@@ -64,7 +63,7 @@ def report(criterion: int, failures: list[str]) -> None:
 
 def best_over_selections(tree, priors, family, rule, v):
     return max(
-        gamma(tree, family, density_process(tree, priors, sel), rule, v)
+        bayes_conditional(tree, density_process(tree, priors, sel), family, rule, v)
         for sel in extreme_selections(tree, priors)
     )
 

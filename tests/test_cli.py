@@ -413,6 +413,14 @@ BAD_CONFIGS = {
     "horizon-fraction": (tt1_with(lambda p: p["tree"].update(horizon=1.5)), "horizon: 1.5"),
     "time-fraction": (tt1_with(set_node("u", "time", 1.6)), "node 'u' time: 1.6"),
     "seed-fraction": (tt1_with(lambda p: p.update(seed=1.7)), "seed: 1.7"),
+    # JSON booleans and strings, which int() and float() would convert
+    "time-bool": (tt1_with(set_node("u", "time", True)), "node 'u' time: True is not an integer"),
+    "seed-bool": (tt1_with(lambda p: p.update(seed=False)), "seed: False is not an integer"),
+    "q-string": (tt1_with(set_node("u", "q", "0.5")), "node 'u' q: '0.5' is not a number"),
+    "crr-S0-string": (crr_with(S0="4.0"), "crr S0: '4.0' is not a number"),
+    "crr-steps-string": (crr_with(steps="2"), "steps: '2' is not an integer"),
+    # an integer beyond the float range, which float() cannot convert
+    "Y-huge-int": (tt1_with(set_node("d", "Y", 10**400)), "node 'd' Y"),
 }
 
 
@@ -428,6 +436,17 @@ class TestBadValues:
         assert code == 2
         assert err.startswith("robust-snell: invalid configuration:")
         assert where in err
+        assert not outdir.exists()
+
+    def test_integer_beyond_the_conversion_limit_exits_2(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError on an integer of more than
+        # sys.get_int_max_str_digits() digits (4300 by default)
+        text = json.dumps(tt1_payload())[:-1] + ', "seed": ' + "9" * 5000 + "}"
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code, outdir = run_command(tmp_path, "solve", config)
+        assert code == 2
+        assert "invalid configuration: config is not valid JSON" in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_non_finite_result_exits_2_without_output(self, tmp_path, capsys, monkeypatch):

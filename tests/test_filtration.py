@@ -15,13 +15,13 @@ from robust_snell import (
     SizeGuardError,
     build_crr_barrier_tree,
     count_rules,
-    enumerate_rules,
     first_entry_rule,
     random_instance,
     stop_at_time_rule,
     validate_tree,
 )
 from reference import (
+    enumerate_rules,
     expected_value_q,
     leaves_below,
     max_rule,

@@ -22,9 +22,9 @@ from robust_snell import (
     solve,
     u_star,
     universal_decompose,
-    verify_value_identities,
 )
 from robust_snell.cli import parse_config, run
+from reference import verify_value_identities
 
 
 def crr_config(steps, mode="closure"):

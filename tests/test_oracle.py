@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import robust_snell
 from robust_snell import (
     AdaptedFamily,
     CrrParams,
@@ -11,23 +12,28 @@ from robust_snell import (
     NodeRecord,
     PriorSet,
     SizeGuardError,
+    bayes_conditional,
     brute_force_value,
     build_crr_barrier_tree,
     crosscheck,
     density_process,
     drift_ambiguity_priors,
-    enumerate_rules,
-    extreme_selections,
     fixtures,
-    gamma,
     knockin_payoff,
     random_instance,
     selection_count,
     solve,
 )
-from robust_snell import cli, filtration, oracle
-from robust_snell.filtration import step
-from reference import brute_force_strict_value, expected_value_q
+from robust_snell import cli, filtration, oracle, snell
+from robust_snell import priors as priors_module
+from robust_snell.filtration import continuing_rows, step
+from reference import (
+    brute_force_strict_value,
+    enumerate_rules,
+    expected_value_q,
+    extreme_selections,
+    fold_rows,
+)
 
 
 class TestBruteForce:
@@ -55,7 +61,7 @@ class TestBruteForce:
         for rule in enumerate_rules(tt4.tree, "r"):
             for sel in extreme_selections(tt4.tree, tt4.priors):
                 z = density_process(tt4.tree, tt4.priors, sel)
-                assert gamma(tt4.tree, tt4.payoff, z, rule, "r") <= best + 1e-12
+                assert bayes_conditional(tt4.tree, z, tt4.payoff, rule, "r") <= best + 1e-12
 
     def test_single_prior_reduces_to_classical_enumeration(self, tt4_single):
         tree, payoff, priors = tt4_single
@@ -233,6 +239,81 @@ def test_matches_the_reference_triple_loop(build):
             assert result.value == value, (n, strict)
             assert result.best_rule.labels == rule.labels, (n, strict)
             assert result.best_selection == sel, (n, strict)
+
+
+def charging_selection(tree, priors, v):
+    """On each strict ancestor of ``v``, the first extreme that charges the
+    path to ``v``, so that a conditional value at ``v`` is defined."""
+    selection = {}
+    n = v
+    while (parent := tree.parent(n)) is not None:
+        i = tree.children(parent).index(n)
+        extremes = priors.extremes(parent)
+        selection[parent] = next(j for j, d in enumerate(extremes) if d[i] > 0)
+        n = parent
+    return selection
+
+
+def bits(values):
+    return tuple(x.hex() for x in values)
+
+
+ROW_CASES = (
+    [(name, lambda name=name: _fixture(name)) for name in ("tt1", "tt3", "tt4")]
+    + [
+        (f"random{seed}-{kind}", lambda seed=seed, single=single: random_instance(seed, single))
+        for seed in range(40)
+        for kind, single in (("ambiguous", False), ("single", True))
+    ]
+)
+
+
+@pytest.mark.parametrize("build", [b for _, b in ROW_CASES], ids=[n for n, _ in ROW_CASES])
+def test_rows_match_the_reference_enumeration(build):
+    # continuing_rows alone orders the rules that continue at a node: row k
+    # is the k-th strict rule of the reference enumeration, folded under
+    # every selection, and the oracle decodes k back into that rule
+    tree, payoff, priors = build()
+    rows = continuing_rows(tree, priors.extremes, payoff.__getitem__, tree.root)
+    for n in tree.decision_nodes(tree.root):
+        rules = enumerate_rules(tree, n, strict=True)
+        assert len(rows[n]) == len(rules), n
+        for k, rule in enumerate(rules):
+            walk = rule.walk(tree)
+            stopped = {s: payoff[s] for s in walk.cut}
+            folded = fold_rows(walk, tree.q_vector, priors.extremes, stopped)
+            assert bits(rows[n][k]) == bits(folded), (n, k)
+            decoded = oracle._rule_at(tree, rows, n, k, True)
+            assert decoded == rule, (n, k)
+            assert list(decoded.labels.items()) == list(rule.labels.items()), (n, k)
+        result = brute_force_value(tree, payoff, priors, n)
+        selection = {**charging_selection(tree, priors, n), **result.best_selection}
+        process = density_process(tree, priors, selection)
+        value = bayes_conditional(tree, process, payoff, result.best_rule, n)
+        assert bits([value]) == bits([result.value]), n
+
+
+MOVED_TO_REFERENCE = (
+    "verify_value_identities",
+    "IdentityCheck",
+    "IdentityReport",
+    "IDENTITY_TOL",
+    "IDENTITY_ALPHAS",
+    "fold_rows",
+    "enumerate_rules",
+    "extreme_selections",
+    "gamma",
+)
+
+
+def test_package_binds_no_enumeration_checker():
+    # the enumeration checkers run only in the tests, from tests/reference.py
+    for module in (robust_snell, snell, filtration, priors_module):
+        bound = [name for name in MOVED_TO_REFERENCE if hasattr(module, name)]
+        assert bound == [], module.__name__
+    # the closed-form counts stay: the bench reads them
+    assert callable(robust_snell.count_rules)
+    assert callable(robust_snell.selection_count)
 
 
 class TestStrictBruteForce:

@@ -13,7 +13,6 @@ from robust_snell import (
     build_crr_barrier_tree,
     density_process,
     drift_ambiguity_priors,
-    extreme_selections,
     random_instance,
     stop_at_time_rule,
 )
@@ -21,6 +20,7 @@ from reference import (
     NotMeasurableError,
     convex_combine,
     expected_value_q,
+    extreme_selections,
     paste,
     validate_density_process,
     validate_prior_set,

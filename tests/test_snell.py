@@ -18,18 +18,16 @@ from robust_snell import (
     SizeGuardError,
     UnattainedSupremumError,
     UndefinedConditionalError,
+    bayes_conditional,
     brute_force_value,
     build_crr_barrier_tree,
     check_optimality_certificate,
     crosscheck,
     density_process,
     drift_ambiguity_priors,
-    enumerate_rules,
     extract_optimal_prior,
-    extreme_selections,
     first_entry_rule,
     fixtures,
-    gamma,
     knockin_payoff,
     random_instance,
     selection_count,
@@ -37,13 +35,17 @@ from robust_snell import (
     stop_at_time_rule,
     u_alpha,
     u_star,
-    verify_value_identities,
 )
 from robust_snell import filtration, snell
 from robust_snell import priors as priors_module
 from robust_snell.filtration import step
 from robust_snell.snell import DEFAULT_TOL
-from reference import check_supermartingale_family
+from reference import (
+    check_supermartingale_family,
+    enumerate_rules,
+    extreme_selections,
+    verify_value_identities,
+)
 
 
 def classical_snell(tree, payoff):
@@ -141,12 +143,12 @@ class TestGamma:
     def test_reference(self, tt1):
         rule = stop_at_time_rule(tt1.tree, 1, "r")
         z = DensityProcess.reference(tt1.tree)
-        assert gamma(tt1.tree, tt1.payoff, z, rule, "r") == pytest.approx(1.0)
+        assert bayes_conditional(tt1.tree, z, tt1.payoff, rule, "r") == pytest.approx(1.0)
 
     def test_extreme(self, tt1):
         rule = stop_at_time_rule(tt1.tree, 1, "r")
         z = density_process(tt1.tree, tt1.priors, {"r": 0})
-        assert gamma(tt1.tree, tt1.payoff, z, rule, "r") == pytest.approx(1.5)
+        assert bayes_conditional(tt1.tree, z, tt1.payoff, rule, "r") == pytest.approx(1.5)
 
 
 class TestAlphaRules:
@@ -216,7 +218,7 @@ class TestOptimalTime:
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
         rule = u_star(sol, "r")
         best = max(
-            gamma(tt4.tree, tt4.payoff, density_process(tt4.tree, tt4.priors, sel), rule, "r")
+            bayes_conditional(tt4.tree, density_process(tt4.tree, tt4.priors, sel), tt4.payoff, rule, "r")
             for sel in extreme_selections(tt4.tree, tt4.priors)
         )
         assert best == pytest.approx(sol.R["r"], abs=1e-10)
@@ -228,7 +230,7 @@ class TestExtractOptimalPrior:
         z = extract_optimal_prior(sol, "r")
         assert z.z == {"r": 1.0, "u": 1.5, "d": 0.5}
         rule = u_star(sol, "r")
-        assert gamma(tt1.tree, tt1.payoff, z, rule, "r") == pytest.approx(1.5)
+        assert bayes_conditional(tt1.tree, z, tt1.payoff, rule, "r") == pytest.approx(1.5)
 
     def test_tt4_downweights_everywhere(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
@@ -236,14 +238,14 @@ class TestExtractOptimalPrior:
         for n in ("r", "u", "d"):
             assert z.ratio[n] == (0.5, 1.5)
         rule = u_star(sol, "r")
-        assert gamma(tt4.tree, tt4.payoff, z, rule, "r") == pytest.approx(2.625)
+        assert bayes_conditional(tt4.tree, z, tt4.payoff, rule, "r") == pytest.approx(2.625)
 
     def test_extraction_at_interior_nodes(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
         for v in ("u", "d"):
             rule = u_star(sol, v)
             z = extract_optimal_prior(sol, v)
-            assert gamma(tt4.tree, tt4.payoff, z, rule, v) == pytest.approx(
+            assert bayes_conditional(tt4.tree, z, tt4.payoff, rule, v) == pytest.approx(
                 sol.R[v], abs=1e-12
             )
 
@@ -402,7 +404,7 @@ class TestStepOneIdentity:
             for alpha in (0.2, 0.6, 1.0):
                 rule = u_alpha(sol, cfg.tree.root, alpha)
                 best = max(
-                    gamma(cfg.tree, sol.R, density_process(cfg.tree, cfg.priors, sel), rule, cfg.tree.root)
+                    bayes_conditional(cfg.tree, density_process(cfg.tree, cfg.priors, sel), sol.R, rule, cfg.tree.root)
                     for sel in extreme_selections(cfg.tree, cfg.priors)
                 )
                 assert best == pytest.approx(sol.R[cfg.tree.root], abs=1e-10)
@@ -412,7 +414,7 @@ class TestStepOneIdentity:
         for alpha in (0.2, 0.4, 0.6, 0.8, 0.95, 1.0):
             rule = u_alpha(sol, "r", alpha)
             best = max(
-                gamma(tt4.tree, tt4.payoff, density_process(tt4.tree, tt4.priors, sel), rule, "r")
+                bayes_conditional(tt4.tree, density_process(tt4.tree, tt4.priors, sel), tt4.payoff, rule, "r")
                 for sel in extreme_selections(tt4.tree, tt4.priors)
             )
             assert alpha * sol.R["r"] <= best + 1e-10
@@ -577,7 +579,6 @@ class TestOptimalPairFromStopRegion:
             return wrapper
 
         for module, attr in (
-            (snell, "density_process"),
             (priors_module, "density_process"),
             (snell, "first_entry_rule"),
             (filtration, "first_entry_rule"),
