@@ -229,6 +229,12 @@ def _integer(value: object, what: str) -> int:
     return int(value)
 
 
+def _string(value: object, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what}: {value!r} is not a string")
+    return value
+
+
 def _object(value: object, what: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise ConfigError(f"{what} must be an object, got {value!r}")
@@ -251,7 +257,7 @@ def _parse_tree_block(block: Mapping) -> tuple[EventTree, AdaptedFamily]:
     payoff = {}
     for nd in node_dicts:
         try:
-            node_id = str(nd["id"])
+            node_id = _string(nd["id"], "node id")
             time = _integer(nd["time"], f"node {node_id!r} time")
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"node entry missing id or time: {nd!r}") from exc
@@ -378,7 +384,7 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError("config with an explicit tree needs a priors block")
         priors = _parse_priors_block(_object(raw["priors"], "priors block"), tree, mode)
 
-    v = str(raw.get("v", tree.root))
+    v = _string(raw.get("v", tree.root), "evaluation node v")
     if v not in tree:
         raise ConfigError(f"evaluation node {v!r} not in tree")
     return RunConfig(

@@ -8,7 +8,6 @@ sets.
 
 from __future__ import annotations
 
-import itertools
 import math
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -329,9 +328,11 @@ class RuleWalk(NamedTuple):
 def step(q: Sequence[float], d: Iterable[float], values: Iterable[float]) -> float:
     """The one-step continuation sum_c q_c d_c v_c.
 
-    Every one-step expectation of the engine goes through here, so all of
-    them share one arithmetic order: (q_c * d_c) * v_c added left to right
-    from 0.  Unit ratios or values are passed as ``itertools.repeat(1.0)``;
+    Every one-step expectation of the engine shares one arithmetic order:
+    (q_c * d_c) * v_c added left to right from 0.  The oracle's rows come
+    from ``_rule_rows``, which keeps that order with partial sums shared
+    between rules; every other one-step expectation goes through here.
+    Unit ratios or values are passed as ``itertools.repeat(1.0)``;
     multiplying by 1.0 is exact.
     """
     total = 0.0
@@ -357,18 +358,48 @@ def continuing_rows(
     each combination ``combo`` of the offered rows, a stop at ``c`` offering
     ``(stopped(c),)``: its value under every selection on the nodes where it
     continues, in mixed-radix order over them in preorder.  Nodes are built
-    children before parents, so a child's rows are shared by all its parent's.
+    children before parents, so a child's rows are shared by all its
+    parent's; each node's rows come from one ``_rule_rows`` call, bit for bit
+    the ``step`` values above.
     """
     rows: dict[str, list[tuple[float, ...]]] = {}
     for n in reversed(tree.decision_nodes(v)):
         q = tree.q_vector(n)
-        ds = choices(n)
+        weights = [[qc * dc for qc, dc in zip(q, d)] for d in choices(n)]
         offers = [[(stopped(c),), *rows.get(c, ())] for c in tree.children(n)]
-        rows[n] = [
-            tuple(step(q, d, combo) for d in ds for combo in itertools.product(*parts))
-            for parts in itertools.product(*offers)
-        ]
+        rows[n] = _rule_rows(weights, offers)
     return rows
+
+
+def _rule_rows(
+    weights: Sequence[Sequence[float]],
+    offers: Sequence[Sequence[Sequence[float]]],
+) -> list[tuple[float, ...]]:
+    """The rows of ``continuing_rows`` at one node, from the weights
+    ``q_c * d_c`` of each choice ``d`` and the children's ``offers``.
+
+    Under each choice the sums run child by child from ``[0.0]``, each
+    partial sum ``s`` extended by ``s + w_c * x`` for every ``x`` of every
+    offered row: the arithmetic order of ``step``, with the partial sums of
+    the first children shared by every rule that makes the same offers
+    there.  Each rule's row is then built at once: under each choice in
+    turn, every partial sum of its first children plus every term of its
+    last child.
+    """
+    *first, last = offers
+    prefixes = []
+    for w in weights:
+        level = [[0.0]]
+        for wc, offer in zip(w, first):
+            terms = [[wc * x for x in part] for part in offer]
+            level = [[s + t for s in sums for t in part] for sums in level for part in terms]
+        prefixes.append(level)
+    lasts = [[[w[-1] * x for x in part] for part in last] for w in weights]
+    return [
+        tuple([s + t for sums, terms in zip(prefix, tail) for s in sums for t in terms])
+        for prefix in zip(*prefixes)
+        for tail in zip(*lasts)
+    ]
 
 
 def first_entry_rule(

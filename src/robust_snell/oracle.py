@@ -13,8 +13,10 @@ The rows of these values are built once, children before parents
 (``filtration.continuing_rows``): a rule that continues at a node combines
 its children's rules, so each child's rows are computed once and shared by
 every rule and selection above it, and one pass from the root gives the rows
-of every node.  The winning rule and selection are decoded from their row
-and entry index, so the order of the rules is defined there alone.  The
+of every node, each node's from one call of a partial-sum kernel.  The best
+entry is found row by row with ``max`` and ``index``, as a strict ``>``
+scan would find it.  The winning rule and selection are decoded from their
+row and entry index, so the order of the rules is defined there alone.  The
 size guards are ``guard_rule_count`` followed by the ``MAX_SELECTIONS``
 guard on every selection below the node.
 """
@@ -93,12 +95,22 @@ def _scan(rows: Sequence[Sequence[float]]) -> tuple[float, int, int]:
     """The first largest entry of ``rows`` by a strict ``>`` scan from -inf,
     with its row and entry index; ``(-inf, 0, 0)`` when no entry exceeds
     -inf, so a NaN is never taken.  Ties go to the earlier rule, then the
-    earlier selection."""
+    earlier selection.
+
+    Each row's largest entry is found by ``max`` and located by ``index``,
+    both scanning left to right with strict comparisons; ``max`` returns a
+    NaN only when the row starts with one, and that row is then scanned
+    entry by entry.
+    """
     best, at_k, at_i = float("-inf"), 0, 0
     for k, row in enumerate(rows):
-        for i, value in enumerate(row):
-            if value > best:
-                best, at_k, at_i = value, k, i
+        top = max(row)
+        if top != top:
+            for i, value in enumerate(row):
+                if value > best:
+                    best, at_k, at_i = value, k, i
+        elif top > best:
+            best, at_k, at_i = top, k, row.index(top)
     return best, at_k, at_i
 
 

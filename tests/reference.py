@@ -12,8 +12,9 @@ equivalent mode.
 They also enumerate what the package only counts or builds rows for: every
 stopping rule at a node (``enumerate_rules``), every pure extreme selection
 (``extreme_selections``) and the values of one rule under every choice of
-ratios (``fold_rows``); and they check the structural identities of the
-value families by that enumeration (``verify_value_identities``).
+ratios (``fold_rows``); they scan rows entry by entry (``strict_scan``);
+and they check the structural identities of the value families by that
+enumeration (``verify_value_identities``).
 """
 
 from __future__ import annotations
@@ -199,6 +200,18 @@ def fold_rows(
             for combo in itertools.product(*child_rows)
         )
     return rows[walk.floor]
+
+
+def strict_scan(rows: Sequence[Sequence[float]]) -> tuple[float, int, int]:
+    """The first largest entry of ``rows`` with its row and entry index, by
+    a strict ``>`` scan from -inf over every entry: ``(-inf, 0, 0)`` when no
+    entry exceeds -inf, a NaN never taken, ties to the earlier entry."""
+    best, at_k, at_i = float("-inf"), 0, 0
+    for k, row in enumerate(rows):
+        for i, value in enumerate(row):
+            if value > best:
+                best, at_k, at_i = value, k, i
+    return best, at_k, at_i
 
 
 def step_expectation_q(

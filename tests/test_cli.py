@@ -421,6 +421,15 @@ BAD_CONFIGS = {
     "crr-steps-string": (crr_with(steps="2"), "steps: '2' is not an integer"),
     # an integer beyond the float range, which float() cannot convert
     "Y-huge-int": (tt1_with(set_node("d", "Y", 10**400)), "node 'd' Y"),
+    # node ids and v are JSON strings, which str() would accept in any type;
+    # the leaf "u" is renamed, and v names the renamed node
+    "id-null": (tt1_with(set_node("u", "id", None)), "node id: None is not a string"),
+    "id-bool": (tt1_with(set_node("u", "id", True)), "node id: True is not a string"),
+    "id-int": (tt1_with(set_node("u", "id", 7)), "node id: 7 is not a string"),
+    "v-int": (
+        tt1_with(lambda p: (set_node("u", "id", "7")(p), p.update(v=7))),
+        "evaluation node v: 7 is not a string",
+    ),
 }
 
 

@@ -33,6 +33,7 @@ from reference import (
     expected_value_q,
     extreme_selections,
     fold_rows,
+    strict_scan,
 )
 
 
@@ -151,6 +152,27 @@ def two_extreme_binary_tree(depth, seed, ambiguous=None):
     return tree, payoff, PriorSet.from_node_extremes(extremes)
 
 
+def ternary_tree(seed):
+    """Depth 2 with 3 children per decision node and 3 extremes at each of
+    its 4 decision nodes: 8 rules continue at the root, under 81 selections."""
+    rng = random.Random(seed)
+    records = [NodeRecord(id="r", time=0)]
+    for a in "abc":
+        records.append(NodeRecord(id=a, time=1, parent="r", q=1 / 3))
+        records += [NodeRecord(id=a + b, time=2, parent=a, q=1 / 3) for b in "abc"]
+    tree = EventTree(horizon=2, records=records)
+    payoff = AdaptedFamily({n: round(rng.uniform(0.0, 5.0), 6) for n in tree.nodes()})
+    extremes = {}
+    for n in tree.decision_nodes(tree.root):
+        q = tree.q_vector(n)
+        extremes[n] = []
+        for _ in range(3):
+            raw = [rng.uniform(0.05, 1.0) for _ in q]
+            norm = sum(qc * rc for qc, rc in zip(q, raw))
+            extremes[n].append(tuple(x / norm for x in raw))
+    return tree, payoff, PriorSet.from_node_extremes(extremes)
+
+
 def crr_put(steps):
     params = CrrParams(
         S0=5.0, up=1.1, down=0.9, steps=steps, rate=0.0, K=5.0, H=3.8,
@@ -265,6 +287,10 @@ ROW_CASES = (
         for seed in range(40)
         for kind, single in (("ambiguous", False), ("single", True))
     ]
+    # the shape of the bench's oracle workload, and three children under
+    # three extremes at every decision node
+    + [("binary4-ambiguous8", lambda: two_extreme_binary_tree(4, seed=7, ambiguous=8))]
+    + [(f"ternary{seed}", lambda seed=seed: ternary_tree(seed)) for seed in range(2)]
 )
 
 
@@ -291,6 +317,30 @@ def test_rows_match_the_reference_enumeration(build):
         process = density_process(tree, priors, selection)
         value = bayes_conditional(tree, process, payoff, result.best_rule, n)
         assert bits([value]) == bits([result.value]), n
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("rows", [
+    [(1.0, 2.0), (NAN, 3.0, 2.0)],  # NaN first in a later row
+    [(NAN, 3.0), (NAN, NAN)],  # NaN first, and a row of NaN only
+    [(1.0, NAN, 3.0, 3.0), (2.0, NAN)],  # NaN mid-row
+    [(-INF, -INF), (-INF,)],  # no entry exceeds -inf
+    [(-INF, -1.0), (-INF, NAN, -INF)],
+    [(-0.0, 0.0), (0.0, -0.0)],  # ties between signed zeros
+    [(-1.0, 0.0, -0.0), (-0.0,)],
+    [(0.5, 2.0, 2.0), (1.0, 2.0), (2.0, 1.5)],  # ties across rows
+    [(INF, INF), (NAN, INF)],
+], ids=["nan-later-row", "nan-rows", "nan-mid-row", "all-minus-inf", "minus-inf-nan",
+        "signed-zeros", "signed-zero-mid-row", "ties", "inf-ties"])
+def test_scan_matches_the_strict_loop(rows):
+    # max and index per row give the strict loop's value, bit for bit, and
+    # its row and entry index
+    value, k, i = oracle._scan(rows)
+    expected, at_k, at_i = strict_scan(rows)
+    assert (bits([value]), k, i) == (bits([expected]), at_k, at_i)
 
 
 MOVED_TO_REFERENCE = (
@@ -348,27 +398,29 @@ class TestCrosscheck:
             assert report.max_deviation < 1e-9, f"seed {seed}: {report}"
 
 
-def count_steps(monkeypatch, call):
-    """The result of ``call()`` and the number of kernel ``step`` calls it
-    made."""
-    calls = 0
-    kernel = filtration.step
+def count_entries(monkeypatch, call):
+    """The result of ``call()`` and the number of row entries the row
+    kernel returned while it ran: one per one-step sum of a rule under a
+    selection."""
+    entries = 0
+    kernel = filtration._rule_rows
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
-        return kernel(*args)
+        nonlocal entries
+        rows = kernel(*args)
+        entries += sum(map(len, rows))
+        return rows
 
-    monkeypatch.setattr(filtration, "step", counted)
+    monkeypatch.setattr(filtration, "_rule_rows", counted)
     result = call()
-    monkeypatch.setattr(filtration, "step", kernel)
-    return result, calls
+    monkeypatch.setattr(filtration, "_rule_rows", kernel)
+    return result, entries
 
 
 def test_crosscheck_folds_each_node_once(monkeypatch):
-    # one step per entry of each row: a rule that continues at a node has one
-    # entry per selection of the nodes where it continues, and the rows of
-    # the rules below it are shared, never rebuilt
+    # a rule that continues at a node has one entry per selection of the
+    # nodes where it continues, and the rows of the rules below it are
+    # shared, never rebuilt
     tree, payoff, priors = two_extreme_binary_tree(4, seed=7, ambiguous=8)
     solution = solve(tree, payoff, priors)
     entries = sum(
@@ -376,16 +428,17 @@ def test_crosscheck_folds_each_node_once(monkeypatch):
         for n in tree.decision_nodes(tree.root)
         for rule in enumerate_rules(tree, n, strict=True)
     )
-    report, calls = count_steps(
+    report, returned = count_entries(
         monkeypatch, lambda: crosscheck(tree, payoff, priors, solution=solution)
     )
     assert report.max_deviation < 1e-9
-    assert calls == entries == 46_833
+    assert returned == entries == 46_833
 
 
 def test_crosscheck_step_count_is_under_a_tenth_of_the_triple_loop(monkeypatch):
     # the triple loop calls step once per continuation node of each rule
-    # under each selection below the floor; the rows share subtree values
+    # under each selection below the floor; the rows share subtree values,
+    # so they hold far fewer one-step sums
     tree, payoff, priors = two_extreme_binary_tree(4, seed=7, ambiguous=8)
     triple_loop = sum(
         selection_count(tree, priors, n) * len(rule.continuation_region(tree))
@@ -394,11 +447,11 @@ def test_crosscheck_step_count_is_under_a_tenth_of_the_triple_loop(monkeypatch):
         for rule in enumerate_rules(tree, n, strict=strict)
     )
     solution = solve(tree, payoff, priors)
-    report, calls = count_steps(
+    report, entries = count_entries(
         monkeypatch, lambda: crosscheck(tree, payoff, priors, solution=solution)
     )
     assert report.max_deviation < 1e-9
-    assert 0 < calls < triple_loop / 10, (calls, triple_loop)
+    assert 0 < entries < triple_loop / 10, (entries, triple_loop)
 
 
 def late_root(tmp_path):
