@@ -5,7 +5,10 @@ writes ``<out>/summary.json`` and ``<out>/nodes.csv``.  All numeric output is
 printed with 17 significant digits so results round-trip exactly; identical
 configs produce byte-identical outputs.
 
-Exit codes: 0 success, 2 invalid configuration (a value that is missing,
+Usage: ``robust-snell COMMAND --config PATH [--out DIR]`` (see ``_HELP``).
+
+Exit codes: 0 success or ``--help``, 2 a usage error (an argument list
+outside that grammar) or an invalid configuration (a value that is missing,
 of the wrong type or not finite, an evaluation node no model of the class
 charges, or a result too large to be finite), 3 enumeration size guard
 exceeded, 4 unattained supremum in equivalent mode.
@@ -13,13 +16,14 @@ exceeded, 4 unattained supremum in equivalent mode.
 
 from __future__ import annotations
 
-import argparse
 import csv
+import gc
 import json
 import math
+import re
 import sys
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, NoReturn, Sequence
 
 from .decomposition import flat_off_check, universal_decompose
 from .errors import (
@@ -515,32 +519,123 @@ _CONFIG_ERRORS = (
 )
 
 
-def run(argv: Sequence[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="robust-snell",
-        description="Best-case optimal stopping under model uncertainty on event trees.",
+_USAGE = "usage: robust-snell {solve,oracle,decompose,price} --config PATH [--out DIR]\n"
+
+_HELP = _USAGE + """
+Best-case optimal stopping under model uncertainty on event trees.
+
+commands:
+  solve          value families, stopping rules, optimal prior, certificate
+  oracle         brute-force crosscheck of the backward induction
+  decompose      universal martingale-minus-drift decomposition
+  price          knock-in barrier put under drift ambiguity
+
+options:
+  -h, --help     show this help and exit
+  --config PATH  path to the JSON run config
+  --out DIR      output directory (default: out)
+
+An option takes its value as --config PATH or --config=PATH, and a unique
+prefix names it (--c, --conf, --o); if an option is repeated, the last one
+counts.  A usage error exits 2.
+"""
+
+_OPTIONS = ("--config", "--out", "--help")
+
+#: a token that starts with "-" but is read as a value: a negative number
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _named(arg: str, options: Sequence[str]) -> list[str]:
+    """The options that ``arg`` could name: exactly, or by a prefix of the
+    part before an ``=``; any ``-h...`` names ``--help``."""
+    if arg.startswith("--"):
+        return [o for o in options if o.startswith(arg.partition("=")[0])]
+    return ["--help"] if arg.startswith("-h") else []
+
+
+def _is_value(arg: str, options: Sequence[str]) -> bool:
+    """Whether ``arg`` is read as a value rather than as an option."""
+    return not arg.startswith("-") or arg == "-" or not _named(arg, options) and (
+        " " in arg or _NEGATIVE.match(arg) is not None
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "value families, stopping rules, optimal prior, certificate"),
-        ("oracle", "brute-force crosscheck of the backward induction"),
-        ("decompose", "universal martingale-minus-drift decomposition"),
-        ("price", "knock-in barrier put under drift ambiguity"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--out", default="out", help="output directory (default: out)")
-    args = parser.parse_args(list(argv))
+
+
+def _usage_error(message: str) -> NoReturn:
+    sys.stderr.write(f"{_USAGE}robust-snell: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _parse_argv(argv: Sequence[str]) -> tuple[str, str, str]:
+    """``(command, config, out)`` from ``COMMAND --config PATH [--out DIR]``,
+    read as ``argparse`` read it: options come after the command, a value
+    follows its option or an ``=`` and does not look like an option, a
+    unique prefix names an option, and the last of a repeated option wins.
+
+    ``-h`` or ``--help`` prints ``_HELP`` and exits 0.  A usage error raises
+    SystemExit(2) through ``_usage_error``: at once for ``--``, an unknown
+    command, an ambiguous option or a missing value, and at the end for
+    stray arguments or a missing ``--config``, so a later ``-h`` still
+    prints the help.
+    """
+    command, stray = None, []
+    values = {"--config": None, "--out": "out"}
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        # before the command, only the help is an option
+        options = _OPTIONS if command else ("--help",)
+        found = _named(arg, options)
+        if arg == "--" or len(found) > 1:
+            _usage_error(f"unexpected argument {arg!r}")
+        if found == ["--help"]:
+            if arg != "-h" and (arg.startswith("-h") or "=" in arg):
+                _usage_error(f"{arg!r}: the help takes no value")
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        if found:
+            _, eq, value = arg.partition("=")
+            if not eq:
+                if i == len(argv) or not _is_value(argv[i], options):
+                    _usage_error(f"{found[0]} needs a value")
+                value = argv[i]
+                i += 1
+            values[found[0]] = value
+        elif command or not _is_value(arg, options):
+            stray.append(arg)
+        elif arg in _COMMANDS:
+            command = arg
+            # argparse named the options after the command, up to a "--",
+            # before it read any of them
+            for later in argv[i:]:
+                if later == "--":
+                    break
+                if len(_named(later, _OPTIONS)) > 1:
+                    _usage_error(f"ambiguous option {later!r}")
+        else:
+            _usage_error(f"unknown command {arg!r}; choose from {', '.join(_COMMANDS)}")
+    if command is None:
+        _usage_error("a command is required")
+    if stray:
+        _usage_error(f"unrecognized arguments: {' '.join(stray)}")
+    if values["--config"] is None:
+        _usage_error("--config is required")
+    return command, values["--config"], values["--out"]
+
+
+def run(argv: Sequence[str]) -> int:
+    command, config, out = _parse_argv(argv)
     try:
-        cfg = parse_config(args.config)
-        if args.command == "price" and cfg.crr is None:
+        cfg = parse_config(config)
+        if command == "price" and cfg.crr is None:
             raise ConfigError("the price command needs a crr block")
         solution = solve(cfg.tree, cfg.payoff, cfg.priors, tol=cfg.tolerance)
-        fields, columns = _COMMANDS[args.command](cfg, solution)
+        fields, columns = _COMMANDS[command](cfg, solution)
         summary = {
-            "command": args.command, "seed": cfg.seed, "mode": cfg.priors.mode, **fields
+            "command": command, "seed": cfg.seed, "mode": cfg.priors.mode, **fields
         }
-        _write_outputs(Path(args.out), cfg.tree, summary, columns)
+        _write_outputs(Path(out), cfg.tree, summary, columns)
         return 0
     except _CONFIG_ERRORS as exc:
         print(f"robust-snell: invalid configuration: {exc}", file=sys.stderr)
@@ -557,6 +652,9 @@ def run(argv: Sequence[str]) -> int:
 
 
 def console_main() -> None:
+    # the objects start-up created (the imports above all) live until exit;
+    # frozen, the collections at exit and during the run skip them
+    gc.freeze()
     sys.exit(run(sys.argv[1:]))
 
 

@@ -17,14 +17,16 @@ of every node, each node's from one call of a partial-sum kernel.  The best
 entry is found row by row with ``max`` and ``index``, as a strict ``>``
 scan would find it.  The winning rule and selection are decoded from their
 row and entry index, so the order of the rules is defined there alone.  The
-size guards are ``guard_rule_count`` followed by the ``MAX_SELECTIONS``
-guard on every selection below the node.
+size guards are ``guard_rule_count``, the ``MAX_SELECTIONS`` guard on every
+selection below the node and then ``guard_entry_count`` on the floats the
+rows hold.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+from .errors import SizeGuardError
 from .filtration import (
     AdaptedFamily,
     EventTree,
@@ -33,7 +35,12 @@ from .filtration import (
     guard_rule_count,
 )
 from .priors import PriorSet, guard_selection_count
-from .snell import solve
+from .snell import solve, validate_inputs
+
+#: guard on the floats in one node's rows: on 64-bit CPython 3.11 a float
+#: costs about 64 bytes with the partial sums, so a crosscheck at the cap
+#: peaks near 150 MB
+MAX_ENTRIES = 2**21
 
 
 class BruteForceResult(NamedTuple):
@@ -65,12 +72,15 @@ def _brute_force(
     """The suprema at ``v`` over every rule and over the rules that continue
     at a non-terminal ``v``, from one scan of the latter's rows.
 
-    ``strict`` selects the class whose size the rule cap counts.
+    ``strict`` selects the class whose size the rule cap counts.  The inputs
+    are validated as ``solve`` validates them before any guard runs.
     """
+    validate_inputs(tree, payoff, priors)
     guard_rule_count(tree, v, strict)
     # ratios outside the subtree at v cannot affect a value there, so only
     # the selections below v are counted against the guard
     guard_selection_count(tree, priors, v)
+    guard_entry_count(tree, priors, v)
     nodes = tree.decision_nodes(v)
     extremes = {n: priors.extremes(n) for n in nodes}
     rows = continuing_rows(tree, extremes.__getitem__, payoff.__getitem__, v)
@@ -89,6 +99,28 @@ def _brute_force(
         best_selection=dict.fromkeys(nodes, 0),
     )
     return (later if later.value > stop.value else stop), later
+
+
+def guard_entry_count(tree: EventTree, priors: PriorSet, v: str) -> None:
+    """Raise SizeGuardError, naming the node and its count, when the
+    ``continuing_rows`` of a decision node of the subtree at ``v`` would
+    hold more than MAX_ENTRIES floats.
+
+    The rows at ``n`` hold E(n) = |extremes(n)| * prod over children c of
+    (1 + E(c)) floats, E being 0 at a terminal node.  Nodes are counted
+    children before parents, stopping at the first one over the cap.
+    """
+    entries: dict[str, int] = {}
+    for n in reversed(tree.decision_nodes(v)):
+        count = len(priors.extremes(n))
+        for c in tree.children(n):
+            count *= 1 + entries.get(c, 0)
+        if count > MAX_ENTRIES:
+            raise SizeGuardError(
+                f"the oracle's rows at node {n!r} hold {count} floats "
+                f"(guard: {MAX_ENTRIES})"
+            )
+        entries[n] = count
 
 
 def _scan(rows: Sequence[Sequence[float]]) -> tuple[float, int, int]:
@@ -181,9 +213,9 @@ def crosscheck(
 ) -> CrosscheckReport:
     """Compare backward-induction values against brute force at every node.
 
-    Every node's size guards run first, in ``tree.nodes()`` order, as
-    ``brute_force_value`` runs them; then the rows of every node come from
-    one pass from the root.
+    Every node's rule and selection guards run first, in ``tree.nodes()``
+    order, as ``brute_force_value`` runs them, then the entry guard over the
+    whole tree; then the rows of every node come from one pass from the root.
     """
     if solution is None:
         solution = solve(tree, payoff, priors)
@@ -191,6 +223,7 @@ def crosscheck(
     for n in nodes:
         guard_rule_count(tree, n)
         guard_selection_count(tree, priors, n)
+    guard_entry_count(tree, priors, tree.root)
     rows = continuing_rows(tree, priors.extremes, payoff.__getitem__, tree.root)
     max_r = 0.0
     max_rp = 0.0

@@ -94,13 +94,10 @@ class SnellSolution(NamedTuple):
         return not self.unattained
 
 
-def solve(
-    tree: EventTree,
-    payoff: AdaptedFamily,
-    priors: PriorSet,
-    tol: float = DEFAULT_TOL,
-) -> SnellSolution:
-    """Backward induction for the best-case value and strict value families."""
+def validate_inputs(tree: EventTree, payoff: AdaptedFamily, priors: PriorSet) -> None:
+    """Raise InvalidTreeError, InvalidFamilyError or InvalidPriorSetError,
+    joining every violation found, unless the tree, the reward and the prior
+    set are valid, checked in that order."""
     tree_report = validate_tree(tree)
     if tree_report:
         raise InvalidTreeError("; ".join(tree_report))
@@ -111,6 +108,15 @@ def solve(
     if prior_report:
         raise InvalidPriorSetError("; ".join(prior_report))
 
+
+def solve(
+    tree: EventTree,
+    payoff: AdaptedFamily,
+    priors: PriorSet,
+    tol: float = DEFAULT_TOL,
+) -> SnellSolution:
+    """Backward induction for the best-case value and strict value families."""
+    validate_inputs(tree, payoff, priors)
     R: dict[str, float] = {}
     R_plus: dict[str, float] = {}
     argmax: dict[str, int] = {}

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -179,7 +180,9 @@ class TestModuleEntryPoint:
 
     def test_start_up_loads_neither_dataclasses_nor_inspect(self, tmp_path):
         # the records are NamedTuples: a start-up that loaded dataclasses (and
-        # with it inspect) would generate and compile their methods each time
+        # with it inspect) would generate and compile their methods each time;
+        # the argument list is read without argparse, which loads gettext, and
+        # whose first message loads locale
         src = str(Path(robust_snell.__file__).resolve().parents[1])
         paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         config = fixtures.config_path("tt1")
@@ -204,7 +207,134 @@ class TestModuleEntryPoint:
                 if line.startswith("import time:")
             }
             assert "robust_snell.cli" in imported, name
-            assert not imported & {"dataclasses", "inspect"}, name
+            assert not imported & {
+                "dataclasses", "inspect", "argparse", "gettext", "locale"
+            }, name
+
+    def test_console_main_freezes_the_start_up_heap(self, tmp_path):
+        # an atexit hook runs after sys.exit, so it sees the state the
+        # interpreter's exit-time collection walks
+        src = str(Path(robust_snell.__file__).resolve().parents[1])
+        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        script = (
+            "import atexit, gc, sys\n"
+            "from robust_snell import cli\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['robust-snell', 'solve', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "cli.console_main()\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(fixtures.config_path("tt1")),
+             str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "True\n"
+        assert (tmp_path / "out" / "summary.json").exists()
+
+    def test_run_freezes_nothing(self, tmp_path):
+        # tests and the bench call run in-process many times; only the
+        # console entry point freezes the heap
+        before = gc.get_freeze_count()
+        assert run_command(tmp_path, "solve", fixtures.config_path("tt1"))[0] == 0
+        assert gc.get_freeze_count() == before
+
+
+#: argument lists the CLI accepts, with ``{config}`` the tt1 fixture and
+#: ``{out}`` the output directory: each must write the bytes of the spaced form
+ACCEPTED_ARGV = {
+    "spaced": ["solve", "--config", "{config}", "--out", "{out}"],
+    "equals": ["solve", "--config={config}", "--out={out}"],
+    "prefixes": ["solve", "--c", "{config}", "--o", "{out}"],
+    "longer_prefix": ["solve", "--conf", "{config}", "--out", "{out}"],
+    "prefix_equals": ["solve", "--conf={config}", "--o", "{out}"],
+    "out_first": ["solve", "--out", "{out}", "--config", "{config}"],
+    "last_repeat_wins": ["solve", "--config", "missing.json", "--config", "{config}",
+                         "--out", "elsewhere", "--out", "{out}"],
+    "default_out": ["solve", "--config", "{config}"],
+}
+
+#: argument lists that print the usage text to stdout and exit 0
+HELP_ARGV = {
+    "short": ["-h"],
+    "long": ["--help"],
+    "long_prefix": ["--he"],
+    "after_command": ["solve", "-h"],
+    "after_options": ["oracle", "--config", "{config}", "--out", "{out}", "--help"],
+    "prefix_after_command": ["decompose", "--h"],
+    "before_a_stray_argument": ["solve", "stray", "-h"],
+    "after_an_unknown_option": ["price", "--bogus", "-h"],
+}
+
+#: argument lists refused with exit 2, the usage line and an error on stderr
+REFUSED_ARGV = {
+    "no_arguments": [],
+    "unknown_command": ["bogus", "--config", "{config}"],
+    "unknown_command_then_help": ["bogus", "-h"],
+    "wrong_case_command": ["Solve", "--config", "{config}"],
+    "option_before_command": ["--config", "{config}", "solve"],
+    "equals_option_before_command": ["--config={config}", "solve", "--config", "{config}"],
+    "missing_config": ["solve"],
+    "missing_config_with_out": ["solve", "--out", "{out}"],
+    "missing_value": ["solve", "--config"],
+    "missing_out_value": ["solve", "--config", "{config}", "--out"],
+    "value_is_an_option": ["solve", "--config", "--out", "{out}"],
+    "value_starts_with_dash": ["solve", "--config", "-x"],
+    "help_as_a_value": ["solve", "--config", "-h"],
+    "stray_argument": ["solve", "--config", "{config}", "stray"],
+    "stray_before_options": ["solve", "stray", "--config", "{config}"],
+    "unknown_option": ["solve", "--config", "{config}", "--bogus"],
+    "ambiguous_prefix": ["solve", "--=x", "--config", "{config}"],
+    "help_with_a_value": ["solve", "--config", "{config}", "--help=x"],
+    "double_dash_last": ["solve", "--config", "{config}", "--"],
+    "double_dash_first": ["--", "solve", "--config", "{config}"],
+    "help_after_double_dash": ["solve", "--config", "{config}", "--", "-h"],
+}
+
+
+class TestArgv:
+    """The CLI's argument grammar: ``COMMAND --config PATH [--out DIR]``."""
+
+    @staticmethod
+    def argv(case, tmp_path):
+        config = str(fixtures.config_path("tt1"))
+        out = str(tmp_path / "out")
+        return [a.format(config=config, out=out) for a in case]
+
+    @pytest.mark.parametrize("case", ACCEPTED_ARGV.values(), ids=ACCEPTED_ARGV)
+    def test_accepted(self, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        assert run(self.argv(case, tmp_path)) == 0
+        _, expected = run_command(tmp_path, "solve", fixtures.config_path("tt1"), "spaced")
+        for name in ("summary.json", "nodes.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (expected / name).read_bytes()
+
+    @pytest.mark.parametrize("case", HELP_ARGV.values(), ids=HELP_ARGV)
+    def test_help(self, tmp_path, monkeypatch, capsys, case):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            run(self.argv(case, tmp_path))
+        assert info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: robust-snell")
+        assert captured.err == ""
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("case", REFUSED_ARGV.values(), ids=REFUSED_ARGV)
+    def test_refused(self, tmp_path, monkeypatch, capsys, case):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            run(self.argv(case, tmp_path))
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: robust-snell")
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("robust-snell") and "error:" in last
+        assert not any(tmp_path.iterdir())
 
 
 class TestExitCodes:

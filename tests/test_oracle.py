@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,8 @@ from robust_snell import (
     AdaptedFamily,
     CrrParams,
     EventTree,
+    InvalidFamilyError,
+    InvalidPriorSetError,
     NodeRecord,
     PriorSet,
     SizeGuardError,
@@ -508,3 +511,164 @@ def test_guards_trip_in_node_order(build, messages, tmp_path):
             call()
         assert type(info.value) is SizeGuardError
         assert str(info.value) == message
+
+
+def wide_fifty(root_extremes):
+    """A 50-node config whose root has 7 children and ``root_extremes``
+    extremes; each child has one extreme and 2 one-extreme children with 2
+    leaves each.  22 decision nodes, 5**7 = 78,125 strict rules and
+    ``root_extremes`` selections pass the other guards, but the rows at the
+    root hold root_extremes * 5**7 floats."""
+    nodes = [{"id": "r", "time": 0, "Y": 0.0}]
+    extremes = {"r": []}
+    for i in range(7):
+        child = f"c{i}"
+        nodes.append({"id": child, "time": 1, "parent": "r", "q": 1 / 7, "Y": 0.5})
+        extremes[child] = [[1.0, 1.0]]
+        for grandchild in (child + "u", child + "d"):
+            nodes.append({"id": grandchild, "time": 2, "parent": child, "q": 0.5, "Y": 1.0})
+            extremes[grandchild] = [[1.0, 1.0]]
+            for leaf in (grandchild + "u", grandchild + "d"):
+                nodes.append(
+                    {"id": leaf, "time": 3, "parent": grandchild, "q": 0.5,
+                     "Y": float(len(nodes) % 5)}
+                )
+    # distinct ratios 1 + s (e_i - e_j), each summing to 1 under q
+    pairs = [(i, j) for i in range(7) for j in range(7) if i != j]
+    for s in range(1, 99):
+        for i, j in pairs:
+            d = [1.0] * 7
+            d[i] += s / 100
+            d[j] -= s / 100
+            extremes["r"].append(d)
+    del extremes["r"][root_extremes:]
+    return {"tree": {"horizon": 3, "nodes": nodes}, "priors": {"node_extremes": extremes}}
+
+
+class TestEntryGuard:
+    """The rows at a node n hold E(n) = |extremes(n)| * prod_c (1 + E(c))
+    floats, E = 0 at a terminal node: ``guard_entry_count`` caps them."""
+
+    @staticmethod
+    def config(tmp_path, root_extremes):
+        path = tmp_path / "wide_fifty.json"
+        path.write_text(json.dumps(wide_fifty(root_extremes)))
+        return path
+
+    def test_wide_fifty_is_refused_at_once(self, tmp_path, capsys):
+        # without the entry guard the rows at the root need 320,000,000
+        # floats: over 10 GB, ending in a MemoryError after about 30 s
+        path = self.config(tmp_path, 4096)
+        cfg = cli.parse_config(path)
+        tree, payoff, priors = cfg.tree, cfg.payoff, cfg.priors
+        assert len(tree.nodes()) == 50
+        assert selection_count(tree, priors) == priors_module.MAX_SELECTIONS
+        message = "the oracle's rows at node 'r' hold 320000000 floats (guard: 2097152)"
+        for call in (
+            lambda: crosscheck(tree, payoff, priors),
+            lambda: brute_force_value(tree, payoff, priors, "r"),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(SizeGuardError) as info:
+                call()
+            assert time.perf_counter() - start < 1.0
+            assert str(info.value) == message
+        start = time.perf_counter()
+        code = cli.run(["oracle", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert capsys.readouterr().err == f"robust-snell: size guard exceeded: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_runs_below_the_cap(self, tmp_path):
+        # 4 root extremes: 312,500 floats at the root
+        cfg = cli.parse_config(self.config(tmp_path, 4))
+        oracle.guard_entry_count(cfg.tree, cfg.priors, "r")
+        assert crosscheck(cfg.tree, cfg.payoff, cfg.priors).max_deviation == 0.0
+
+    def test_stops_at_the_first_node_over_the_cap(self, tmp_path, monkeypatch):
+        # children before parents: each child's rows hold 1 * 2 * 2 floats,
+        # and the last child in preorder is counted first
+        cfg = cli.parse_config(self.config(tmp_path, 4))
+        monkeypatch.setattr(oracle, "MAX_ENTRIES", 3)
+        with pytest.raises(SizeGuardError, match="rows at node 'c6' hold 4 floats"):
+            oracle.guard_entry_count(cfg.tree, cfg.priors, "r")
+        monkeypatch.setattr(oracle, "MAX_ENTRIES", 4)
+        with pytest.raises(SizeGuardError, match="rows at node 'r' hold 312500 floats"):
+            oracle.guard_entry_count(cfg.tree, cfg.priors, "r")
+
+    @pytest.mark.parametrize("build", [
+        lambda: _fixture("tt1"),
+        lambda: _fixture("tt4"),
+        lambda: two_extreme_binary_tree(4, seed=7, ambiguous=8),
+        lambda: random_instance(3),
+        lambda: random_instance(11),
+    ], ids=["tt1", "tt4", "binary4", "random3", "random11"])
+    def test_counts_the_floats_of_the_rows(self, build, monkeypatch):
+        # at each decision node, the guard passes at exactly the number of
+        # floats continuing_rows builds there and names the node one below it
+        tree, payoff, priors = build()
+        rows = continuing_rows(tree, priors.extremes, payoff.__getitem__, tree.root)
+        for n in tree.decision_nodes(tree.root):
+            floats = sum(map(len, rows[n]))
+            monkeypatch.setattr(oracle, "MAX_ENTRIES", floats)
+            oracle.guard_entry_count(tree, priors, n)
+            monkeypatch.setattr(oracle, "MAX_ENTRIES", floats - 1)
+            with pytest.raises(SizeGuardError, match=f"rows at node {n!r} hold {floats} floats"):
+                oracle.guard_entry_count(tree, priors, n)
+
+    def test_admits_the_fixtures_and_random_instances(self):
+        cases = [_fixture(name) for name in ("tt1", "tt3", "tt4")]
+        cases += [random_instance(seed) for seed in range(40)]
+        for tree, _, priors in cases:
+            oracle.guard_entry_count(tree, priors, tree.root)
+
+
+def tt4_with_a_short_extreme(tt4):
+    """tt4 with a 1-component extreme (1.0,) added at its 2-child root."""
+    extremes = dict(tt4.priors.extreme_points)
+    extremes["r"] = [*extremes["r"], (1.0,)]
+    return tt4.tree, tt4.payoff, PriorSet(extreme_points=extremes, mode=tt4.priors.mode)
+
+
+class TestBruteForceValidates:
+    def test_invalid_prior_set_is_refused_as_solve_refuses_it(self, tt4, monkeypatch):
+        tree, payoff, priors = tt4_with_a_short_extreme(tt4)
+        with pytest.raises(InvalidPriorSetError) as solved:
+            solve(tree, payoff, priors)
+
+        def no_rows(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(oracle, "continuing_rows", no_rows)
+        for call in (brute_force_value, brute_force_strict_value):
+            with pytest.raises(InvalidPriorSetError) as info:
+                call(tree, payoff, priors, "r")
+            assert str(info.value) == str(solved.value)
+            assert str(info.value) == "node r: extreme 2 has 1 components, expected 2"
+
+    def test_invalid_reward_is_refused_as_solve_refuses_it(self, tt4):
+        payoff = AdaptedFamily({**dict(tt4.payoff.items()), "uu": -1.0})
+        with pytest.raises(InvalidFamilyError) as solved:
+            solve(tt4.tree, payoff, tt4.priors)
+        with pytest.raises(InvalidFamilyError) as info:
+            brute_force_value(tt4.tree, payoff, tt4.priors, "r")
+        assert str(info.value) == str(solved.value)
+
+    def test_checks_run_through_the_engine_module(self, tt4, monkeypatch):
+        # the bench times validation by wrapping these names on snell
+        called = []
+
+        def recorded(name):
+            check = getattr(snell, name)
+
+            def call(*args):
+                called.append(name)
+                return check(*args)
+
+            return call
+
+        for name in ("validate_tree", "validate_family", "structural_violations"):
+            monkeypatch.setattr(snell, name, recorded(name))
+        brute_force_value(tt4.tree, tt4.payoff, tt4.priors, "r")
+        assert called == ["validate_tree", "validate_family", "structural_violations"]
