@@ -12,21 +12,10 @@ import math
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import (
-    InvalidFamilyError,
-    InvalidRuleError,
-    InvalidTreeError,
-    SizeGuardError,
-)
+from .errors import InvalidFamilyError, InvalidRuleError, InvalidTreeError
 
 #: absolute tolerance on one-step probability sums
 PROB_TOL = 1e-12
-
-#: enumeration guard: maximum number of decision (non-terminal) nodes
-MAX_DECISION_NODES = 24
-
-#: defensive cap on the number of enumerated stopping rules
-MAX_RULES = 200_000
 
 #: the one read-only empty mapping that optional mapping fields default to
 EMPTY_MAPPING: Mapping = MappingProxyType({})
@@ -438,17 +427,3 @@ def count_rules(tree: EventTree, v: str, strict: bool = False) -> int:
         return free[v] - 1
     return free[v]
 
-
-def guard_rule_count(tree: EventTree, v: str, strict: bool = False) -> None:
-    """Raise SizeGuardError when the subtree at ``v`` has more than
-    MAX_DECISION_NODES decision nodes, or else when ``count_rules`` there
-    exceeds MAX_RULES."""
-    n_decision = len(tree.decision_nodes(v))
-    if n_decision > MAX_DECISION_NODES:
-        raise SizeGuardError(
-            f"subtree at {v!r} has {n_decision} decision nodes "
-            f"(guard: {MAX_DECISION_NODES})"
-        )
-    total = count_rules(tree, v, strict)
-    if total > MAX_RULES:
-        raise SizeGuardError(f"{total} stopping rules exceed the cap {MAX_RULES}")

@@ -17,9 +17,9 @@ of every node, each node's from one call of a partial-sum kernel.  The best
 entry is found row by row with ``max`` and ``index``, as a strict ``>``
 scan would find it.  The winning rule and selection are decoded from their
 row and entry index, so the order of the rules is defined there alone.  The
-size guards are ``guard_rule_count``, the ``MAX_SELECTIONS`` guard on every
-selection below the node and then ``guard_entry_count`` on the floats the
-rows hold.
+one size guard, ``guard_entry_count``, counts the floats that the rows of
+the starting node and of every node below it hold together, before any row
+is built.
 """
 
 from __future__ import annotations
@@ -27,19 +27,16 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import SizeGuardError
-from .filtration import (
-    AdaptedFamily,
-    EventTree,
-    StoppingRule,
-    continuing_rows,
-    guard_rule_count,
-)
-from .priors import PriorSet, guard_selection_count
+from .filtration import AdaptedFamily, EventTree, StoppingRule, continuing_rows
+from .priors import PriorSet
 from .snell import solve, validate_inputs
 
-#: guard on the floats in one node's rows: on 64-bit CPython 3.11 a float
-#: costs about 64 bytes with the partial sums, so a crosscheck at the cap
-#: peaks near 150 MB
+#: the one size guard: the floats that the rows of the starting node and of
+#: every node below it hold together, since every node's rows are kept.
+#: Cold CLI ``oracle`` runs just under the cap on 64-bit CPython 3.11 peaked
+#: at 194 MB in 3.6 s on a 2047-step chain (2,096,128 floats in one-float
+#: rows) and at 150 MB in 1.0 s on a 50-node tree whose root holds
+#: 2,031,250 of its 2,031,292 floats
 MAX_ENTRIES = 2**21
 
 
@@ -72,14 +69,11 @@ def _brute_force(
     """The suprema at ``v`` over every rule and over the rules that continue
     at a non-terminal ``v``, from one scan of the latter's rows.
 
-    ``strict`` selects the class whose size the rule cap counts.  The inputs
-    are validated as ``solve`` validates them before any guard runs.
+    ``strict`` sets only the class of the returned rule; no guard counts it,
+    since both suprema come from the same rows.  The inputs are validated as
+    ``solve`` validates them before the guard runs.
     """
     validate_inputs(tree, payoff, priors)
-    guard_rule_count(tree, v, strict)
-    # ratios outside the subtree at v cannot affect a value there, so only
-    # the selections below v are counted against the guard
-    guard_selection_count(tree, priors, v)
     guard_entry_count(tree, priors, v)
     nodes = tree.decision_nodes(v)
     extremes = {n: priors.extremes(n) for n in nodes}
@@ -102,23 +96,26 @@ def _brute_force(
 
 
 def guard_entry_count(tree: EventTree, priors: PriorSet, v: str) -> None:
-    """Raise SizeGuardError, naming the node and its count, when the
-    ``continuing_rows`` of a decision node of the subtree at ``v`` would
-    hold more than MAX_ENTRIES floats.
+    """Raise SizeGuardError, naming a node and a count, when the
+    ``continuing_rows`` of the subtree at ``v`` would hold more than
+    MAX_ENTRIES floats in all.
 
-    The rows at ``n`` hold E(n) = |extremes(n)| * prod over children c of
-    (1 + E(c)) floats, E being 0 at a terminal node.  Nodes are counted
-    children before parents, stopping at the first one over the cap.
+    The rows at a decision node ``n`` hold E(n) = |extremes(n)| * prod over
+    children c of (1 + E(c)) floats, E being 0 at a terminal node, and every
+    node's rows are kept.  Nodes are counted children before parents into a
+    running total, which stops at the first node that takes it over the cap.
     """
     entries: dict[str, int] = {}
+    total = 0
     for n in reversed(tree.decision_nodes(v)):
         count = len(priors.extremes(n))
         for c in tree.children(n):
             count *= 1 + entries.get(c, 0)
-        if count > MAX_ENTRIES:
+        total += count
+        if total > MAX_ENTRIES:
             raise SizeGuardError(
-                f"the oracle's rows at node {n!r} hold {count} floats "
-                f"(guard: {MAX_ENTRIES})"
+                f"the oracle's rows hold {total} floats once node {n!r} is "
+                f"counted (guard: {MAX_ENTRIES})"
             )
         entries[n] = count
 
@@ -213,16 +210,12 @@ def crosscheck(
 ) -> CrosscheckReport:
     """Compare backward-induction values against brute force at every node.
 
-    Every node's rule and selection guards run first, in ``tree.nodes()``
-    order, as ``brute_force_value`` runs them, then the entry guard over the
-    whole tree; then the rows of every node come from one pass from the root.
+    The rows of every node come from one pass from the root, so the guard
+    counts the floats of the whole tree's rows before that pass.
     """
     if solution is None:
         solution = solve(tree, payoff, priors)
     nodes = tree.nodes()
-    for n in nodes:
-        guard_rule_count(tree, n)
-        guard_selection_count(tree, priors, n)
     guard_entry_count(tree, priors, tree.root)
     rows = continuing_rows(tree, priors.extremes, payoff.__getitem__, tree.root)
     max_r = 0.0

@@ -19,7 +19,6 @@ from .errors import (
     FloorMismatchError,
     InvalidPriorSetError,
     InvalidSelectionError,
-    SizeGuardError,
     UndefinedConditionalError,
 )
 from .filtration import AdaptedFamily, EventTree, StoppingRule, step
@@ -29,9 +28,6 @@ MARTINGALE_TOL = 1e-12
 
 #: absolute tolerance on the sum of a selection's convex coefficients
 WEIGHT_SUM_TOL = 1e-9
-
-#: enumeration guard on the number of pure extreme selections
-MAX_SELECTIONS = 4096
 
 MODE_CLOSURE = "closure"
 MODE_EQUIVALENT = "equivalent"
@@ -270,12 +266,3 @@ def selection_count(tree: EventTree, priors: PriorSet, v: str | None = None) -> 
         count *= len(priors.extremes(n))
     return count
 
-
-def guard_selection_count(tree: EventTree, priors: PriorSet, v: str) -> None:
-    """Raise SizeGuardError when ``selection_count`` at ``v`` exceeds
-    MAX_SELECTIONS."""
-    total = selection_count(tree, priors, v)
-    if total > MAX_SELECTIONS:
-        raise SizeGuardError(
-            f"{total} extreme selections exceed the guard {MAX_SELECTIONS}"
-        )

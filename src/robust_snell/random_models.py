@@ -1,8 +1,8 @@
 """Seeded random instances for oracle crosschecks and property suites.
 
 Uses the stdlib Mersenne generator so that a given seed reproduces the same
-instance on any platform.  Instances stay within the enumeration guards of
-the brute-force oracle by construction.
+instance on any platform.  Instances stay far within the size guard of the
+brute-force oracle by construction.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .filtration import AdaptedFamily, EventTree, NodeRecord, step
 from .pricing import CROSSED_ABOVE, CROSSED_BELOW, CrrParams
 from .priors import PriorSet
 
-#: self-imposed cap on extreme selections, below the oracle guard
+#: self-imposed cap on extreme selections, which keeps the oracle's rows small
 _SELECTION_BUDGET = 512
 
 

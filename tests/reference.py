@@ -14,7 +14,10 @@ stopping rule at a node (``enumerate_rules``), every pure extreme selection
 (``extreme_selections``) and the values of one rule under every choice of
 ratios (``fold_rows``); they scan rows entry by entry (``strict_scan``);
 and they check the structural identities of the value families by that
-enumeration (``verify_value_identities``).
+enumeration (``verify_value_identities``).  The enumerations keep their own
+size guards on decision nodes, rules and selections (``guard_rule_count``,
+``guard_selection_count``); the package's oracle guards only the floats its
+rows hold.
 """
 
 from __future__ import annotations
@@ -33,20 +36,22 @@ from robust_snell import (
     InvalidTreeError,
     PriorSet,
     RobustSnellError,
+    SizeGuardError,
     StoppingRule,
     bayes_conditional,
+    count_rules,
     density_process,
     first_entry_rule,
+    selection_count,
     stop_at_time_rule,
 )
 from robust_snell.decomposition import _project
-from robust_snell.filtration import EMPTY_MAPPING, RuleWalk, guard_rule_count, step
+from robust_snell.filtration import EMPTY_MAPPING, RuleWalk, step
 from robust_snell.oracle import _brute_force
 from robust_snell.priors import (
     MARTINGALE_TOL,
     MODE_CLOSURE,
     MODE_EQUIVALENT,
-    guard_selection_count,
     structural_violations,
 )
 from robust_snell.snell import DEFAULT_TOL, SnellSolution, u_alpha
@@ -67,6 +72,15 @@ IDENTITY_TOL = 1e-10
 
 #: the fractions alpha whose alpha-rules the value identities are checked at
 IDENTITY_ALPHAS = (0.2, 0.4, 0.6, 0.8, 0.95, 1.0)
+
+#: enumeration guard: maximum number of decision (non-terminal) nodes
+MAX_DECISION_NODES = 24
+
+#: defensive cap on the number of enumerated stopping rules
+MAX_RULES = 200_000
+
+#: enumeration guard on the number of pure extreme selections
+MAX_SELECTIONS = 4096
 
 
 class NotASupermartingaleError(RobustSnellError):
@@ -143,6 +157,21 @@ def max_rule(tree: EventTree, r1: StoppingRule, r2: StoppingRule) -> StoppingRul
         if not labels[n]:
             stack.extend((c, d1, d2) for c in reversed(tree.children(n)))
     return StoppingRule(labels=labels, floor=r1.floor, strict=r1.strict or r2.strict)
+
+
+def guard_rule_count(tree: EventTree, v: str, strict: bool = False) -> None:
+    """Raise SizeGuardError when the subtree at ``v`` has more than
+    MAX_DECISION_NODES decision nodes, or else when ``count_rules`` there
+    exceeds MAX_RULES."""
+    n_decision = len(tree.decision_nodes(v))
+    if n_decision > MAX_DECISION_NODES:
+        raise SizeGuardError(
+            f"subtree at {v!r} has {n_decision} decision nodes "
+            f"(guard: {MAX_DECISION_NODES})"
+        )
+    total = count_rules(tree, v, strict)
+    if total > MAX_RULES:
+        raise SizeGuardError(f"{total} stopping rules exceed the cap {MAX_RULES}")
 
 
 def enumerate_rules(tree: EventTree, v: str, strict: bool = False) -> list[StoppingRule]:
@@ -338,6 +367,16 @@ def convex_combine(
             # null atom: any martingale ratio is consistent; keep the reference
             ratios[n] = tuple(1.0 for _ in children)
     return DensityProcess(ratio=ratios, z=z)
+
+
+def guard_selection_count(tree: EventTree, priors: PriorSet, v: str) -> None:
+    """Raise SizeGuardError when ``selection_count`` at ``v`` exceeds
+    MAX_SELECTIONS."""
+    total = selection_count(tree, priors, v)
+    if total > MAX_SELECTIONS:
+        raise SizeGuardError(
+            f"{total} extreme selections exceed the guard {MAX_SELECTIONS}"
+        )
 
 
 def extreme_selections(

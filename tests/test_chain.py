@@ -1,6 +1,7 @@
 """Deep single-branch chains: every evaluator runs without recursing on depth."""
 
 import json
+import time
 
 import pytest
 
@@ -19,7 +20,7 @@ from robust_snell import (
     stop_at_time_rule,
     u_star,
 )
-from robust_snell import cli, snell
+from robust_snell import SizeGuardError, cli, oracle, snell
 from reference import expected_value_q, max_rule
 
 STEPS = 5000
@@ -41,17 +42,21 @@ def chain_config(steps):
     }
 
 
-@pytest.fixture(scope="module")
-def chain():
+def build_chain(steps):
     records = [NodeRecord(id="c0", time=0)]
     records += [
         NodeRecord(id=f"c{t}", time=t, parent=f"c{t - 1}", q=1.0)
-        for t in range(1, STEPS + 1)
+        for t in range(1, steps + 1)
     ]
-    tree = EventTree(horizon=STEPS, records=records)
-    payoff = AdaptedFamily({f"c{t}": t / STEPS for t in range(STEPS + 1)})
+    tree = EventTree(horizon=steps, records=records)
+    payoff = AdaptedFamily({f"c{t}": t / steps for t in range(steps + 1)})
     priors = PriorSet.constant(tree, [[1.0]])
     return tree, payoff, priors
+
+
+@pytest.fixture(scope="module")
+def chain():
+    return build_chain(STEPS)
 
 
 def test_solve_extract_and_certify(chain):
@@ -130,3 +135,35 @@ def test_cli_solve_solves_once(tmp_path, monkeypatch):
     )
     assert code == 0
     assert len(calls) == 1
+
+
+def test_oracle_guard_counts_the_rows_of_every_node():
+    # the rows at a node s steps above the horizon hold s floats, so the
+    # rows of an n-step chain hold n (n + 1) / 2 in all, though no one node
+    # holds more than n; the guard counts the total, building no row
+    tree, _, priors = build_chain(2047)
+    oracle.guard_entry_count(tree, priors, "c0")  # 2,096,128 floats
+    tree, _, priors = build_chain(2048)
+    with pytest.raises(SizeGuardError) as info:
+        oracle.guard_entry_count(tree, priors, "c0")
+    assert str(info.value) == (
+        "the oracle's rows hold 2098176 floats once node 'c0' is counted "
+        "(guard: 2097152)"
+    )
+
+
+def test_cli_oracle_refuses_a_3000_step_chain(tmp_path, capsys):
+    # its rows would hold 4,501,500 floats; the count passes the cap at the
+    # node 2048 steps above the horizon
+    config = tmp_path / "chain.json"
+    config.write_text(json.dumps(chain_config(3000)), encoding="utf-8")
+    outdir = tmp_path / "out"
+    start = time.perf_counter()
+    code = cli.run(["oracle", "--config", str(config), "--out", str(outdir)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "robust-snell: size guard exceeded: the oracle's rows hold 2098176 "
+        "floats once node 'c952' is counted (guard: 2097152)\n"
+    )
+    assert not outdir.exists()

@@ -136,7 +136,7 @@ def test_every_config_exits_cleanly(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
-        for command in ("solve", "decompose"):
+        for command in ("solve", "oracle", "decompose"):
             out = Path(tmp) / command
             code = run([command, "--config", str(path), "--out", str(out)])
             assert code in (0, 2, 3, 4)

@@ -100,6 +100,9 @@ GOLDEN = {
     "decompose:crr10": "8ff487f5dbb31bbf118b9ca8b63cee69fbbfce8ef0c5fe5b8cb3e0596860b538",
     "decompose:crr4eq": "a7769e09e356c5c1bbe9eb0e2f11d837bf10427151a9fc276a09a7a84be66686",
     "decompose:crr6eq": "398593198ca19119f85f7f0df5273094622cd5481d5ae1850f9485e2d82879f3",
+    # the oracle's rows of the 4-step put hold 1,046,990 floats, under its guard
+    "oracle:crr4": "a2cbcb80fd9854e5844b5d29f6d91a5631cee5777b958dfc674211b71ccf1de2",
+    "oracle:crr4eq": "3d856f11586f7396dbd03c4940bd9cc8bd8a3fc0da27e231668758a88581fa80",
 }
 
 
@@ -107,6 +110,9 @@ GOLDEN = {
 def test_output_matches_golden_digest(key, tmp_path):
     command, label = key.split(":")
     assert output_digest(command, label, tmp_path) == GOLDEN[key]
+    if command == "oracle":
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["max_deviation"] == 0.0
 
 
 #: sha256 over seeds 0-39 of random_instance, single- and multi-prior, and of

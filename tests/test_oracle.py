@@ -92,18 +92,21 @@ def full_binary_tree(depth):
     return EventTree(horizon=depth, records=records)
 
 
-def test_selection_guard_still_raises():
-    # 2 extremes at each of the 15 decision nodes: 2**15 = 32,768 selections
+def test_32768_selections_run_under_the_float_cap():
+    # 2 extremes at each of the 15 decision nodes: 2**15 = 32,768 selections,
+    # whose rows hold 1,046,990 floats in all
     tree = full_binary_tree(4)
     priors = PriorSet.constant(tree, [(0.5, 1.5), (1.5, 0.5)])
     payoff = AdaptedFamily.constant(tree, 1.0)
-    with pytest.raises(SizeGuardError, match="32768 extreme selections"):
-        brute_force_value(tree, payoff, priors, "r")
+    assert selection_count(tree, priors) == 2**15
+    oracle.guard_entry_count(tree, priors, "r")
+    result = brute_force_value(tree, payoff, priors, "r")
+    assert result.value == solve(tree, payoff, priors).R["r"]
 
 
 def wide_root():
-    """A root with 18 children, each with 2 leaves: 1 + 2**18 = 262,145 rules
-    (cap 200,000) on 19 decision nodes, and 2**19 selections (guard 4096)."""
+    """A root with 18 children, each with 2 leaves and 2 extremes, and 2
+    extremes at the root: the rows at the root hold 2 * 3**18 floats."""
     k = 18
     records = [NodeRecord(id="r", time=0)]
     for i in range(k):
@@ -118,12 +121,13 @@ def wide_root():
     return tree, AdaptedFamily.constant(tree, 1.0), priors
 
 
-def test_rule_cap_is_checked_before_the_selection_guard():
+def test_wide_root_is_refused_at_the_root():
+    # 18 * 2 floats at the children and 774,840,978 at the root
     tree, payoff, priors = wide_root()
-    assert selection_count(tree, priors) > 4096
-    with pytest.raises(SizeGuardError, match="262145 stopping rules exceed the cap"):
+    message = "the oracle's rows hold 774841014 floats once node 'r' is counted"
+    with pytest.raises(SizeGuardError, match=message):
         brute_force_value(tree, payoff, priors, "r")
-    with pytest.raises(SizeGuardError, match="stopping rules exceed the cap"):
+    with pytest.raises(SizeGuardError, match=message):
         brute_force_strict_value(tree, payoff, priors, "r")
 
 
@@ -356,12 +360,18 @@ MOVED_TO_REFERENCE = (
     "enumerate_rules",
     "extreme_selections",
     "gamma",
+    "MAX_DECISION_NODES",
+    "MAX_RULES",
+    "guard_rule_count",
+    "MAX_SELECTIONS",
+    "guard_selection_count",
 )
 
 
 def test_package_binds_no_enumeration_checker():
-    # the enumeration checkers run only in the tests, from tests/reference.py
-    for module in (robust_snell, snell, filtration, priors_module):
+    # the enumeration checkers and their size guards run only in the tests,
+    # from tests/reference.py
+    for module in (robust_snell, snell, filtration, priors_module, oracle):
         bound = [name for name in MOVED_TO_REFERENCE if hasattr(module, name)]
         assert bound == [], module.__name__
     # the closed-form counts stay: the bench reads them
@@ -481,32 +491,28 @@ def late_root(tmp_path):
     return cfg.tree, cfg.payoff, cfg.priors
 
 
-@pytest.mark.parametrize("build, messages", [
-    (lambda tmp_path: wide_root(), (
-        "262145 stopping rules exceed the cap 200000",
-        "262145 stopping rules exceed the cap 200000",
-        "262144 stopping rules exceed the cap 200000",
-    )),
-    (lambda tmp_path: two_extreme_binary_tree(5, seed=3), (
-        "subtree at 'r' has 31 decision nodes (guard: 24)",
-    ) * 3),
-    (late_root, (
-        "subtree at 'c' has 31 decision nodes (guard: 24)",
-        "subtree at 'r' has 63 decision nodes (guard: 24)",
-        "subtree at 'r' has 63 decision nodes (guard: 24)",
-    )),
+@pytest.mark.parametrize("build, node, floats", [
+    (lambda tmp_path: wide_root(), "r", 774_841_014),
+    (lambda tmp_path: two_extreme_binary_tree(5, seed=3), "r", 2_185_971_135_342),
+    (late_root, "b", 2_185_971_135_342),
 ], ids=["wide_root", "binary5", "late_root"])
-def test_guards_trip_in_node_order(build, messages, tmp_path):
-    # crosscheck runs every node's guards in tree.nodes() order before it
-    # builds a row, so the first node in that order that is too large is
-    # the one named; the oracle at the root names the root
+def test_guards_trip_in_node_order(build, node, floats, tmp_path):
+    # the guard counts children before parents, the reverse of the preorder
+    # from the root whatever the order of the config's node list, so the
+    # last child of the root is counted first: the 31 decision nodes below
+    # "b" in late_root take the total over the cap before the root is
+    # reached.  crosscheck and both oracles at the root guard the same rows
     tree, payoff, priors = build(tmp_path)
     calls = (
         lambda: crosscheck(tree, payoff, priors),
         lambda: brute_force_value(tree, payoff, priors, tree.root),
         lambda: brute_force_strict_value(tree, payoff, priors, tree.root),
     )
-    for call, message in zip(calls, messages):
+    message = (
+        f"the oracle's rows hold {floats} floats once node {node!r} is counted "
+        "(guard: 2097152)"
+    )
+    for call in calls:
         with pytest.raises(SizeGuardError) as info:
             call()
         assert type(info.value) is SizeGuardError
@@ -516,9 +522,8 @@ def test_guards_trip_in_node_order(build, messages, tmp_path):
 def wide_fifty(root_extremes):
     """A 50-node config whose root has 7 children and ``root_extremes``
     extremes; each child has one extreme and 2 one-extreme children with 2
-    leaves each.  22 decision nodes, 5**7 = 78,125 strict rules and
-    ``root_extremes`` selections pass the other guards, but the rows at the
-    root hold root_extremes * 5**7 floats."""
+    leaves each.  The rows of the 21 decision nodes below the root hold 42
+    floats, and the rows at the root root_extremes * 5**7."""
     nodes = [{"id": "r", "time": 0, "Y": 0.0}]
     extremes = {"r": []}
     for i in range(7):
@@ -547,7 +552,8 @@ def wide_fifty(root_extremes):
 
 class TestEntryGuard:
     """The rows at a node n hold E(n) = |extremes(n)| * prod_c (1 + E(c))
-    floats, E = 0 at a terminal node: ``guard_entry_count`` caps them."""
+    floats, E = 0 at a terminal node, and every node's rows are kept:
+    ``guard_entry_count`` caps the sum of E over the subtree."""
 
     @staticmethod
     def config(tmp_path, root_extremes):
@@ -556,14 +562,17 @@ class TestEntryGuard:
         return path
 
     def test_wide_fifty_is_refused_at_once(self, tmp_path, capsys):
-        # without the entry guard the rows at the root need 320,000,000
-        # floats: over 10 GB, ending in a MemoryError after about 30 s
+        # without the entry guard the rows need 320,000,042 floats: over
+        # 10 GB, ending in a MemoryError after about 30 s
         path = self.config(tmp_path, 4096)
         cfg = cli.parse_config(path)
         tree, payoff, priors = cfg.tree, cfg.payoff, cfg.priors
         assert len(tree.nodes()) == 50
-        assert selection_count(tree, priors) == priors_module.MAX_SELECTIONS
-        message = "the oracle's rows at node 'r' hold 320000000 floats (guard: 2097152)"
+        assert selection_count(tree, priors) == 4096
+        message = (
+            "the oracle's rows hold 320000042 floats once node 'r' is counted "
+            "(guard: 2097152)"
+        )
         for call in (
             lambda: crosscheck(tree, payoff, priors),
             lambda: brute_force_value(tree, payoff, priors, "r"),
@@ -581,21 +590,25 @@ class TestEntryGuard:
         assert not (tmp_path / "out").exists()
 
     def test_runs_below_the_cap(self, tmp_path):
-        # 4 root extremes: 312,500 floats at the root
+        # 4 root extremes: 312,500 floats at the root, 312,542 in all
         cfg = cli.parse_config(self.config(tmp_path, 4))
         oracle.guard_entry_count(cfg.tree, cfg.priors, "r")
         assert crosscheck(cfg.tree, cfg.payoff, cfg.priors).max_deviation == 0.0
 
     def test_stops_at_the_first_node_over_the_cap(self, tmp_path, monkeypatch):
-        # children before parents: each child's rows hold 1 * 2 * 2 floats,
-        # and the last child in preorder is counted first
+        # children before parents, the last child in preorder first: its two
+        # children's rows hold 1 float each and its own 1 * 2 * 2, so the
+        # total is 6 once "c6" is counted and 42 once "c0" is
         cfg = cli.parse_config(self.config(tmp_path, 4))
-        monkeypatch.setattr(oracle, "MAX_ENTRIES", 3)
-        with pytest.raises(SizeGuardError, match="rows at node 'c6' hold 4 floats"):
-            oracle.guard_entry_count(cfg.tree, cfg.priors, "r")
-        monkeypatch.setattr(oracle, "MAX_ENTRIES", 4)
-        with pytest.raises(SizeGuardError, match="rows at node 'r' hold 312500 floats"):
-            oracle.guard_entry_count(cfg.tree, cfg.priors, "r")
+        for cap, node, floats in ((5, "c6", 6), (41, "c0", 42), (42, "r", 312_542)):
+            monkeypatch.setattr(oracle, "MAX_ENTRIES", cap)
+            with pytest.raises(
+                SizeGuardError,
+                match=f"rows hold {floats} floats once node {node!r} is counted",
+            ):
+                oracle.guard_entry_count(cfg.tree, cfg.priors, "r")
+        monkeypatch.setattr(oracle, "MAX_ENTRIES", 312_542)
+        oracle.guard_entry_count(cfg.tree, cfg.priors, "r")
 
     @pytest.mark.parametrize("build", [
         lambda: _fixture("tt1"),
@@ -605,16 +618,19 @@ class TestEntryGuard:
         lambda: random_instance(11),
     ], ids=["tt1", "tt4", "binary4", "random3", "random11"])
     def test_counts_the_floats_of_the_rows(self, build, monkeypatch):
-        # at each decision node, the guard passes at exactly the number of
-        # floats continuing_rows builds there and names the node one below it
+        # at each decision node n, the guard passes at exactly the number of
+        # floats continuing_rows builds at n and below it, and one float
+        # under that it names n, the node it counts last
         tree, payoff, priors = build()
         rows = continuing_rows(tree, priors.extremes, payoff.__getitem__, tree.root)
         for n in tree.decision_nodes(tree.root):
-            floats = sum(map(len, rows[n]))
+            floats = sum(len(row) for m in tree.decision_nodes(n) for row in rows[m])
             monkeypatch.setattr(oracle, "MAX_ENTRIES", floats)
             oracle.guard_entry_count(tree, priors, n)
             monkeypatch.setattr(oracle, "MAX_ENTRIES", floats - 1)
-            with pytest.raises(SizeGuardError, match=f"rows at node {n!r} hold {floats} floats"):
+            with pytest.raises(
+                SizeGuardError, match=f"rows hold {floats} floats once node {n!r} is counted"
+            ):
                 oracle.guard_entry_count(tree, priors, n)
 
     def test_admits_the_fixtures_and_random_instances(self):
