@@ -20,7 +20,6 @@ import csv
 import gc
 import json
 import math
-import re
 import sys
 from pathlib import Path
 from typing import Mapping, NamedTuple, NoReturn, Sequence
@@ -39,7 +38,7 @@ from .errors import (
     UndefinedConditionalError,
 )
 from .filtration import AdaptedFamily, EventTree, NodeRecord, validate_tree
-from .oracle import crosscheck
+from .oracle import crosscheck, guard_entry_count
 from .pricing import (
     CrrParams,
     build_crr_barrier_tree,
@@ -57,6 +56,7 @@ from .snell import (
     solve,
     u_alpha,
     u_star,
+    validate_inputs,
 )
 
 CSV_COLUMNS = [
@@ -535,30 +535,10 @@ options:
   --config PATH  path to the JSON run config
   --out DIR      output directory (default: out)
 
-An option takes its value as --config PATH or --config=PATH, and a unique
-prefix names it (--c, --conf, --o); if an option is repeated, the last one
-counts.  A usage error exits 2.
+An option takes its value as --config PATH or --config=PATH; a value after a
+space may not start with "-", except "-" itself.  If an option is repeated,
+the last one counts.  A usage error exits 2.
 """
-
-_OPTIONS = ("--config", "--out", "--help")
-
-#: a token that starts with "-" but is read as a value: a negative number
-_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
-
-
-def _named(arg: str, options: Sequence[str]) -> list[str]:
-    """The options that ``arg`` could name: exactly, or by a prefix of the
-    part before an ``=``; any ``-h...`` names ``--help``."""
-    if arg.startswith("--"):
-        return [o for o in options if o.startswith(arg.partition("=")[0])]
-    return ["--help"] if arg.startswith("-h") else []
-
-
-def _is_value(arg: str, options: Sequence[str]) -> bool:
-    """Whether ``arg`` is read as a value rather than as an option."""
-    return not arg.startswith("-") or arg == "-" or not _named(arg, options) and (
-        " " in arg or _NEGATIVE.match(arg) is not None
-    )
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -567,54 +547,39 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _parse_argv(argv: Sequence[str]) -> tuple[str, str, str]:
-    """``(command, config, out)`` from ``COMMAND --config PATH [--out DIR]``,
-    read as ``argparse`` read it: options come after the command, a value
-    follows its option or an ``=`` and does not look like an option, a
-    unique prefix names an option, and the last of a repeated option wins.
+    """``(command, config, out)`` from ``COMMAND --config PATH [--out DIR]``:
+    the command comes first, an option is named in full and takes its value
+    after a space or an ``=``, and the last of a repeated option wins.
 
     ``-h`` or ``--help`` prints ``_HELP`` and exits 0.  A usage error raises
-    SystemExit(2) through ``_usage_error``: at once for ``--``, an unknown
-    command, an ambiguous option or a missing value, and at the end for
-    stray arguments or a missing ``--config``, so a later ``-h`` still
-    prints the help.
+    SystemExit(2) through ``_usage_error``: at once for a missing or unknown
+    command, ``--`` or a missing value, and at the end for any other
+    argument or a missing ``--config``, so a later ``-h`` still prints the
+    help.
     """
     command, stray = None, []
     values = {"--config": None, "--out": "out"}
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        i += 1
-        # before the command, only the help is an option
-        options = _OPTIONS if command else ("--help",)
-        found = _named(arg, options)
-        if arg == "--" or len(found) > 1:
-            _usage_error(f"unexpected argument {arg!r}")
-        if found == ["--help"]:
-            if arg != "-h" and (arg.startswith("-h") or "=" in arg):
-                _usage_error(f"{arg!r}: the help takes no value")
+    args = iter(argv)
+    for arg in args:
+        if arg in ("-h", "--help"):
             sys.stdout.write(_HELP)
             raise SystemExit(0)
-        if found:
-            _, eq, value = arg.partition("=")
-            if not eq:
-                if i == len(argv) or not _is_value(argv[i], options):
-                    _usage_error(f"{found[0]} needs a value")
-                value = argv[i]
-                i += 1
-            values[found[0]] = value
-        elif command or not _is_value(arg, options):
-            stray.append(arg)
-        elif arg in _COMMANDS:
+        if arg == "--":
+            _usage_error("unexpected argument '--'")
+        if command is None:
+            if arg not in _COMMANDS:
+                _usage_error(f"unknown command {arg!r}; choose from {', '.join(_COMMANDS)}")
             command = arg
-            # argparse named the options after the command, up to a "--",
-            # before it read any of them
-            for later in argv[i:]:
-                if later == "--":
-                    break
-                if len(_named(later, _OPTIONS)) > 1:
-                    _usage_error(f"ambiguous option {later!r}")
-        else:
-            _usage_error(f"unknown command {arg!r}; choose from {', '.join(_COMMANDS)}")
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in values:
+            stray.append(arg)
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("-") and value != "-":
+                _usage_error(f"{name} needs a value")
+        values[name] = value
     if command is None:
         _usage_error("a command is required")
     if stray:
@@ -630,6 +595,11 @@ def run(argv: Sequence[str]) -> int:
         cfg = parse_config(config)
         if command == "price" and cfg.crr is None:
             raise ConfigError("the price command needs a crr block")
+        if command == "oracle":
+            # refuse a tree too large for the oracle before solving it, but
+            # after validation, so an invalid input still exits 2
+            validate_inputs(cfg.tree, cfg.payoff, cfg.priors)
+            guard_entry_count(cfg.tree, cfg.priors, cfg.tree.root)
         solution = solve(cfg.tree, cfg.payoff, cfg.priors, tol=cfg.tolerance)
         fields, columns = _COMMANDS[command](cfg, solution)
         summary = {

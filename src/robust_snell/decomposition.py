@@ -47,7 +47,7 @@ def __getattr__(name: str):
 
     Nothing in the package calls it.  It stays only because the bench's
     tracer (``bench/inproc.py``) looks ``linprog`` up here by name to count
-    LPs; ROADMAP item 1, which moves tracing into the library, deletes it.
+    LPs; ROADMAP item 5b, where the bench reads a library trace, deletes it.
     """
     if name != "linprog":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

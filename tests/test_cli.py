@@ -248,9 +248,6 @@ class TestModuleEntryPoint:
 ACCEPTED_ARGV = {
     "spaced": ["solve", "--config", "{config}", "--out", "{out}"],
     "equals": ["solve", "--config={config}", "--out={out}"],
-    "prefixes": ["solve", "--c", "{config}", "--o", "{out}"],
-    "longer_prefix": ["solve", "--conf", "{config}", "--out", "{out}"],
-    "prefix_equals": ["solve", "--conf={config}", "--o", "{out}"],
     "out_first": ["solve", "--out", "{out}", "--config", "{config}"],
     "last_repeat_wins": ["solve", "--config", "missing.json", "--config", "{config}",
                          "--out", "elsewhere", "--out", "{out}"],
@@ -261,10 +258,8 @@ ACCEPTED_ARGV = {
 HELP_ARGV = {
     "short": ["-h"],
     "long": ["--help"],
-    "long_prefix": ["--he"],
     "after_command": ["solve", "-h"],
     "after_options": ["oracle", "--config", "{config}", "--out", "{out}", "--help"],
-    "prefix_after_command": ["decompose", "--h"],
     "before_a_stray_argument": ["solve", "stray", "-h"],
     "after_an_unknown_option": ["price", "--bogus", "-h"],
 }
@@ -292,6 +287,14 @@ REFUSED_ARGV = {
     "double_dash_last": ["solve", "--config", "{config}", "--"],
     "double_dash_first": ["--", "solve", "--config", "{config}"],
     "help_after_double_dash": ["solve", "--config", "{config}", "--", "-h"],
+    # an option is named in full: a prefix of one names nothing
+    "prefixes": ["solve", "--c", "{config}", "--o", "{out}"],
+    "longer_prefix": ["solve", "--conf", "{config}", "--out", "{out}"],
+    "prefix_equals": ["solve", "--conf={config}", "--o", "{out}"],
+    "long_prefix": ["--he"],
+    "prefix_after_command": ["decompose", "--h"],
+    # a value after a space may not start with "-", a negative number included
+    "negative_value": ["solve", "--config", "{config}", "--out", "-5"],
 }
 
 
@@ -335,6 +338,10 @@ class TestArgv:
         last = captured.err.splitlines()[-1]
         assert last.startswith("robust-snell") and "error:" in last
         assert not any(tmp_path.iterdir())
+
+    def test_a_lone_dash_is_a_value(self):
+        argv = ["solve", "--config", "-", "--out", "-"]
+        assert robust_snell.cli._parse_argv(argv) == ("solve", "-", "-")
 
 
 class TestExitCodes:
@@ -396,6 +403,27 @@ class TestExitCodes:
         payload["crr"]["steps"] = 6
         code, _ = run_command(tmp_path, "oracle", write_config(tmp_path, payload))
         assert code == 3
+
+    def test_oracle_refuses_an_oversize_tree_before_solving(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the 5-step drift-ambiguity put of tests/test_golden.py
+        payload = {
+            "crr": {"S0": 5.0, "up": 1.1, "down": 0.9, "steps": 5, "rate": 0.0,
+                    "K": 5.0, "H": 3.8, "q_up": 0.5, "ambiguity": [0.4, 0.6]},
+        }
+
+        def solve(*args, **kwargs):
+            pytest.fail("the oracle solved a tree its size guard refuses")
+
+        monkeypatch.setattr(robust_snell.cli, "solve", solve)
+        code, outdir = run_command(tmp_path, "oracle", write_config(tmp_path, payload))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "robust-snell: size guard exceeded: the oracle's rows hold 2185971135342 "
+            "floats once node 'r' is counted (guard: 2097152)\n"
+        )
+        assert not outdir.exists()
 
     def test_unattained_supremum_exit(self, tmp_path):
         config = write_config(

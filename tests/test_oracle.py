@@ -589,6 +589,21 @@ class TestEntryGuard:
         assert capsys.readouterr().err == f"robust-snell: size guard exceeded: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_invalid_input_exits_2_before_the_guard(self, tmp_path, capsys):
+        # the CLI validates the inputs before it counts the oracle's rows, so
+        # a negative reward on a tree over the cap is a configuration error
+        payload = wide_fifty(4096)
+        payload["tree"]["nodes"][-1]["Y"] = -1.0
+        leaf = payload["tree"]["nodes"][-1]["id"]
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(payload))
+        code = cli.run(["oracle", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"robust-snell: invalid configuration: family negative at node {leaf}: -1\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_runs_below_the_cap(self, tmp_path):
         # 4 root extremes: 312,500 floats at the root, 312,542 in all
         cfg = cli.parse_config(self.config(tmp_path, 4))
