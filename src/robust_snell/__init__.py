@@ -77,7 +77,6 @@ from .pricing import (
     drift_ambiguity_priors,
     knockin_payoff,
     price,
-    vanilla_put_payoff,
 )
 from .random_models import random_crr_params, random_instance
 

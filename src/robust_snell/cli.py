@@ -94,7 +94,9 @@ class RunConfig(NamedTuple):
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    """The one number rule of both output files: the float ``x`` equals, to
+    17 significant digits, so that it round-trips; a flag prints as 1 or 0."""
+    return "%.17g" % x
 
 
 #: the string quoting ``json.dumps`` applies under its default settings
@@ -157,38 +159,25 @@ def write_nodes_csv(
 ) -> None:
     """Emit one row per node in tree order; missing fields are left empty.
 
-    Raises NonFiniteValueError, writing nothing, if a column holds a NaN or an
+    Every number, flags and indices included, is printed by ``_fmt``.  Raises
+    NonFiniteValueError, writing nothing, if a column holds a NaN or an
     infinity.  The tree's own fields (edge probabilities and states) are
     checked where the tree is parsed or built.
     """
     _require_finite_columns(columns)
+    cols = [columns.get(name, {}) for name in CSV_COLUMNS[6:]]
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "nodes.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for n in tree.nodes():
             rec = tree.node(n)
-            row: list[str] = [
-                n,
-                str(rec.time),
-                rec.parent if rec.parent is not None else "",
-                _fmt(rec.q) if rec.q is not None else "",
-                _fmt(rec.states["S"]) if "S" in rec.states else "",
-                _fmt(rec.states["hit"]) if "hit" in rec.states else "",
-            ]
-            for name in CSV_COLUMNS[6:]:
-                col = columns.get(name)
-                if col is None or n not in col:
-                    row.append("")
-                    continue
-                value = col[n]
-                if isinstance(value, bool):
-                    row.append("1" if value else "0")
-                elif isinstance(value, int):
-                    row.append(str(value))
-                else:
-                    row.append(_fmt(value))
-            writer.writerow(row)
+            numbers = [rec.q, rec.states.get("S"), rec.states.get("hit")]
+            numbers += [col.get(n) for col in cols]
+            writer.writerow([
+                n, _fmt(rec.time), rec.parent or "",
+                *["" if x is None else _fmt(x) for x in numbers],
+            ])
 
 
 def _write_outputs(

@@ -111,10 +111,6 @@ class PremiseReport(NamedTuple):
     def scaling_closed_all(self) -> bool:
         return all(self.scaling_closed.values()) if self.scaling_closed else True
 
-    @property
-    def full_slice_all(self) -> bool:
-        return all(self.full_slice.values()) if self.full_slice else True
-
 
 def _solve_square(
     rows: Sequence[Sequence[float]], rhs: Sequence[float]

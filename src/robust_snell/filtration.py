@@ -115,9 +115,6 @@ class EventTree:
     def is_terminal(self, node_id: str) -> bool:
         return self.time(node_id) == self.horizon
 
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(n for n in self._records if not self._children[n])
-
     # -- traversal helpers -----------------------------------------------
 
     def subtree(self, v: str) -> tuple[str, ...]:
@@ -133,20 +130,6 @@ class EventTree:
     def decision_nodes(self, v: str) -> tuple[str, ...]:
         """Non-terminal nodes of the subtree at ``v``, in preorder."""
         return tuple(n for n in self.subtree(v) if self._children[n])
-
-    def path(self, ancestor: str, descendant: str) -> tuple[str, ...]:
-        """Nodes from ``ancestor`` down to ``descendant``, both inclusive."""
-        chain = [descendant]
-        n = descendant
-        while n != ancestor:
-            p = self.parent(n)
-            if p is None:
-                raise InvalidTreeError(
-                    f"{ancestor!r} is not an ancestor of {descendant!r}"
-                )
-            chain.append(p)
-            n = p
-        return tuple(reversed(chain))
 
     def nodes_by_time(self, descending: bool = False) -> tuple[str, ...]:
         order = sorted(
@@ -225,13 +208,6 @@ class AdaptedFamily:
     def __repr__(self) -> str:
         return f"AdaptedFamily({self.values!r})"
 
-    @classmethod
-    def constant(cls, tree: EventTree, value: float) -> "AdaptedFamily":
-        return cls({n: value for n in tree.nodes()})
-
-    def scaled(self, factor: float) -> "AdaptedFamily":
-        return AdaptedFamily({k: factor * v for k, v in self.values.items()})
-
 
 def validate_family(tree: EventTree, family: AdaptedFamily) -> list[str]:
     """Check that a family is finite and nonnegative on every node."""
@@ -262,16 +238,6 @@ class StoppingRule(NamedTuple):
     def stops_at(self, node_id: str) -> bool:
         return bool(self.labels.get(node_id, False))
 
-    def stop_node(self, tree: EventTree, leaf: str) -> str:
-        """First stop node on the path from the floor to ``leaf``."""
-        for n in tree.path(self.floor, leaf):
-            if self.stops_at(n):
-                return n
-        raise InvalidRuleError(f"rule never stops on the path to {leaf!r}")
-
-    def stop_time(self, tree: EventTree, leaf: str) -> int:
-        return tree.time(self.stop_node(tree, leaf))
-
     def walk(self, tree: EventTree) -> RuleWalk:
         """Traverse the rule once from its floor, without recursion.
 
@@ -296,10 +262,6 @@ class StoppingRule(NamedTuple):
     def cut(self, tree: EventTree) -> frozenset[str]:
         """The set of nodes at which the rule actually stops."""
         return frozenset(self.walk(tree).cut)
-
-    def continuation_region(self, tree: EventTree) -> frozenset[str]:
-        """Nodes the rule passes through without stopping."""
-        return frozenset(n for n, _ in self.walk(tree).continuation)
 
 
 class RuleWalk(NamedTuple):

@@ -144,18 +144,6 @@ def knockin_payoff(tree: EventTree, params: CrrParams) -> AdaptedFamily:
     return AdaptedFamily(values)
 
 
-def vanilla_put_payoff(tree: EventTree, params: CrrParams) -> AdaptedFamily:
-    """Discounted put payoff without the barrier gate."""
-    values = {}
-    for n in tree.nodes():
-        states = tree.node(n).states
-        if "S" not in states:
-            raise MissingStateError(f"node {n!r} lacks the S state")
-        t = tree.time(n)
-        values[n] = math.exp(-params.rate * t) * max(params.K - states["S"], 0.0)
-    return AdaptedFamily(values)
-
-
 def up_probabilities(ambiguity: tuple[float, float]) -> list[float]:
     """The extreme up-probabilities of an interval, one when it is a point."""
     lo, hi = ambiguity

@@ -161,15 +161,6 @@ class DensityProcess(NamedTuple):
                 z[c] = z[n] * rc
         return cls(ratio=ratios, z=z)
 
-    @classmethod
-    def reference(cls, tree: EventTree) -> "DensityProcess":
-        """The constant process Z = 1 (the reference measure itself)."""
-        ratios = {
-            n: tuple(1.0 for _ in tree.children(n))
-            for n in tree.decision_nodes(tree.root)
-        }
-        return cls.from_ratios(tree, ratios)
-
 
 def _coefficients(
     selection_entry, n_extremes: int, node_id: str

@@ -18,22 +18,32 @@ enumeration (``verify_value_identities``).  The enumerations keep their own
 size guards on decision nodes, rules and selections (``guard_rule_count``,
 ``guard_selection_count``); the package's oracle guards only the floats its
 rows hold.
+
+The small accessors that only tests use live here too, as functions of the
+object they read: ``path``, ``stop_time``, ``continuation_region``,
+``constant_family``, ``scaled_family``, ``reference_process``,
+``full_slice_all`` and ``vanilla_put_payoff``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from robust_snell import (
     AdaptedFamily,
+    CrrParams,
     DensityProcess,
     EventTree,
     FloorMismatchError,
     InvalidFamilyError,
+    InvalidRuleError,
     InvalidSelectionError,
     InvalidTreeError,
+    MissingStateError,
+    PremiseReport,
     PriorSet,
     RobustSnellError,
     SizeGuardError,
@@ -103,6 +113,17 @@ def leaves_below(tree: EventTree, v: str) -> tuple[str, ...]:
     return tuple(n for n in tree.subtree(v) if not tree.children(n))
 
 
+def path(tree: EventTree, ancestor: str, descendant: str) -> tuple[str, ...]:
+    """Nodes from ``ancestor`` down to ``descendant``, both inclusive."""
+    chain = [descendant]
+    while chain[-1] != ancestor:
+        p = tree.parent(chain[-1])
+        if p is None:
+            raise InvalidTreeError(f"{ancestor!r} is not an ancestor of {descendant!r}")
+        chain.append(p)
+    return tuple(reversed(chain))
+
+
 def ancestor_at(tree: EventTree, node_id: str, t: int) -> str:
     """The time-t ancestor of ``node_id`` (the atom containing it)."""
     n = node_id
@@ -123,9 +144,22 @@ def validate_rule(tree: EventTree, rule: StoppingRule) -> list[str]:
     if rule.strict and not tree.is_terminal(rule.floor) and rule.stops_at(rule.floor):
         report.append(f"strict rule stops at its non-terminal floor {rule.floor}")
     for leaf in leaves_below(tree, rule.floor):
-        if not any(rule.stops_at(n) for n in tree.path(rule.floor, leaf)):
+        if not any(rule.stops_at(n) for n in path(tree, rule.floor, leaf)):
             report.append(f"path to {leaf} never stops")
     return report
+
+
+def stop_time(rule: StoppingRule, tree: EventTree, leaf: str) -> int:
+    """Time of the rule's first stop on the path from its floor to ``leaf``."""
+    for n in path(tree, rule.floor, leaf):
+        if rule.stops_at(n):
+            return tree.time(n)
+    raise InvalidRuleError(f"rule never stops on the path to {leaf!r}")
+
+
+def continuation_region(rule: StoppingRule, tree: EventTree) -> frozenset[str]:
+    """Nodes the rule passes through without stopping."""
+    return frozenset(n for n, _ in rule.walk(tree).continuation)
 
 
 def _check_compatible(r1: StoppingRule, r2: StoppingRule) -> None:
@@ -273,7 +307,35 @@ def expected_value_q(
     return fold_rows(walk, tree.q_vector, lambda n: unit, stopped)[0]
 
 
-# -- prior sets and density processes -------------------------------------
+# -- families, prior sets and density processes ---------------------------
+
+
+def constant_family(tree: EventTree, value: float) -> AdaptedFamily:
+    return AdaptedFamily(dict.fromkeys(tree.nodes(), value))
+
+
+def scaled_family(family: AdaptedFamily, factor: float) -> AdaptedFamily:
+    return AdaptedFamily({n: factor * x for n, x in family.items()})
+
+
+def vanilla_put_payoff(tree: EventTree, params: CrrParams) -> AdaptedFamily:
+    """Discounted put payoff without the barrier gate."""
+    values = {}
+    for n in tree.nodes():
+        states = tree.node(n).states
+        if "S" not in states:
+            raise MissingStateError(f"node {n!r} lacks the S state")
+        t = tree.time(n)
+        values[n] = math.exp(-params.rate * t) * max(params.K - states["S"], 0.0)
+    return AdaptedFamily(values)
+
+
+def reference_process(tree: EventTree) -> DensityProcess:
+    """The constant process Z = 1 (the reference measure itself)."""
+    ratios = {
+        n: tuple(1.0 for _ in tree.children(n)) for n in tree.decision_nodes(tree.root)
+    }
+    return DensityProcess.from_ratios(tree, ratios)
 
 
 def validate_prior_set(tree: EventTree, priors: PriorSet) -> list[str]:
@@ -436,6 +498,11 @@ def check_supermartingale_family(
     )
 
 
+def full_slice_all(report: PremiseReport) -> bool:
+    """Every node polytope is the whole nonnegative slice 1 + span{d - 1}."""
+    return all(report.full_slice.values())
+
+
 def kw_project(
     tree: EventTree,
     node: str,
@@ -540,7 +607,7 @@ def verify_value_identities(solution: SnellSolution) -> IdentityReport:
     """
     tree, payoff, priors = solution.tree, solution.payoff, solution.priors
     v = tree.root
-    measures = [DensityProcess.reference(tree)]
+    measures = [reference_process(tree)]
     for sel in extreme_selections(tree, priors, v)[:8]:
         measures.append(density_process(tree, priors, sel))
     taus = [stop_at_time_rule(tree, t, v) for t in range(tree.horizon + 1)]

@@ -44,10 +44,15 @@ from robust_snell import (
     u_alpha,
     u_star,
     universal_decompose,
-    vanilla_put_payoff,
 )
 from robust_snell.cli import run as cli_run
-from reference import extreme_selections, verify_value_identities
+from reference import (
+    extreme_selections,
+    leaves_below,
+    stop_time,
+    vanilla_put_payoff,
+    verify_value_identities,
+)
 
 ALPHA_GRID = (0.2, 0.4, 0.6, 0.8, 0.95, 1.0)
 
@@ -170,8 +175,8 @@ def test_criterion_5_approximate_optimality(tt1, tt3, tt4):
         for (a1, r1), (a2, r2) in zip(
             zip(ALPHA_GRID, rules), list(zip(ALPHA_GRID, rules))[1:]
         ):
-            for leaf in tree.leaves():
-                if r1.stop_time(tree, leaf) > r2.stop_time(tree, leaf):
+            for leaf in leaves_below(tree, tree.root):
+                if stop_time(r1, tree, leaf) > stop_time(r2, tree, leaf):
                     failures.append(f"{name}: rule not nondecreasing {a1}->{a2}")
         for alpha, rule in zip(ALPHA_GRID, rules):
             for s in rule.cut(tree):

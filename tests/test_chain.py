@@ -7,7 +7,6 @@ import pytest
 
 from robust_snell import (
     AdaptedFamily,
-    DensityProcess,
     EventTree,
     NodeRecord,
     PriorSet,
@@ -21,7 +20,7 @@ from robust_snell import (
     u_star,
 )
 from robust_snell import SizeGuardError, cli, oracle, snell
-from reference import expected_value_q, max_rule
+from reference import expected_value_q, max_rule, reference_process
 
 STEPS = 5000
 LAST = f"c{STEPS}"
@@ -75,7 +74,7 @@ def test_solve_extract_and_certify(chain):
 def test_stopped_value_evaluators(chain):
     tree, payoff, _ = chain
     rule = stop_at_time_rule(tree, STEPS, "c0")
-    assert bayes_conditional(tree, DensityProcess.reference(tree), payoff, rule, "c0") == 1.0
+    assert bayes_conditional(tree, reference_process(tree), payoff, rule, "c0") == 1.0
     assert expected_value_q(tree, payoff, rule, "c0") == 1.0
 
 

@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 import robust_snell
-from robust_snell import NonFiniteValueError, fixtures, solve, u_alpha
+from robust_snell import (
+    EventTree,
+    NodeRecord,
+    NonFiniteValueError,
+    fixtures,
+    solve,
+    u_alpha,
+)
 from robust_snell.cli import CSV_COLUMNS, run, write_nodes_csv, write_summary
 
 
@@ -83,6 +90,38 @@ class TestSolveCommand:
         summary = read_summary(outdir)
         sol = solve(tt3.tree, tt3.payoff, tt3.priors)
         assert summary["R_root"] == sol.R["r"]
+
+    def test_quotes_odd_node_ids(self, tmp_path):
+        # ids holding a comma, double quotes and a leading space: CSV quotes
+        # the first two and keeps the space, JSON escapes the quotes
+        payload = {
+            "tree": {"horizon": 1, "nodes": [
+                {"id": " r", "time": 0, "Y": 1.0},
+                {"id": "u,1", "time": 1, "parent": " r", "q": 0.5, "Y": 2.0},
+                {"id": 'd"2"', "time": 1, "parent": " r", "q": 0.5, "Y": 0.0},
+            ]},
+            "priors": {"node_extremes": {" r": [[1.5, 0.5], [0.5, 1.5]]}},
+            "alphas": [0.6, 1.0],
+        }
+        code, outdir = run_command(tmp_path, "solve", write_config(tmp_path, payload))
+        assert code == 0
+        assert (outdir / "summary.json").read_bytes() == (
+            b'{\n  "command": "solve",\n  "seed": 0,\n  "mode": "closure",\n'
+            b'  "v": " r",\n  "R_root": 1.5,\n  "R_plus_root": 1.5,\n'
+            b'  "R_v": 1.5,\n  "R_plus_v": 1.5,\n  "attained": true,\n'
+            b'  "U_star_stops": [\n    "u,1",\n    "d\\"2\\""\n  ],\n'
+            b'  "u_alpha_stops": {\n    "0.59999999999999998": [\n      " r"\n    ],\n'
+            b'    "1": [\n      "u,1",\n      "d\\"2\\""\n    ]\n  },\n'
+            b'  "certificate": {\n    "optimal": true,\n    "cond1": true,\n'
+            b'    "cond2": true,\n    "value": 1.5,\n    "value_target": 1.5\n  }\n}\n'
+        )
+        assert (outdir / "nodes.csv").read_bytes() == (
+            b"node_id,time,parent_id,q,state_S,state_hit,Y,R,R_plus,stop,"
+            b"u_star_stop,argmax_extreme,z_star,M,C,K,A_q\n"
+            b" r,0,,,,,1,1.5,1.5,0,0,0,1,,,,\n"
+            b'"u,1",1, r,0.5,,,2,2,2,1,1,,1.5,,,,\n'
+            b'"d""2""",1, r,0.5,,,0,0,0,1,1,,0.5,,,,\n'
+        )
 
 
 class TestOracleCommand:
@@ -713,6 +752,22 @@ class TestWriteNodesCsv:
         assert err.startswith("robust-snell: non-finite result:")
         assert "column 'A_q' is inf at node 'uu'" in err
         assert not outdir.exists()
+
+    def test_every_number_takes_the_17_digit_rule(self, tmp_path):
+        # flags and indices print as the floats they equal; the root has no value
+        values = [True, False, 0, 3, 0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+        ids = [f"c{i}" for i in range(len(values))]
+        tree = EventTree(horizon=1, records=[
+            NodeRecord(id="r", time=0),
+            *(NodeRecord(id=n, time=1, parent="r", q=0.1) for n in ids),
+        ])
+        write_nodes_csv(tmp_path, tree, {"R": dict(zip(ids, values))})
+        with open(tmp_path / "nodes.csv", newline="") as fh:
+            column = [row["R"] for row in csv.DictReader(fh)]
+        assert column == [
+            "", "1", "0", "0", "3", "0", "-0", "4.9406564584124654e-324",
+            "1.7976931348623157e+308", "0.10000000000000001",
+        ]
 
     def test_refuses_an_infinite_column(self, tmp_path, tt1):
         columns = {"Y": {"r": 1.0, "u": 0.0, "d": 2.0}, "R": {"r": 1.0, "u": float("inf")}}

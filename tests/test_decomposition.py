@@ -15,8 +15,6 @@ from scipy.optimize import linprog
 
 import robust_snell
 from robust_snell import (
-    AdaptedFamily,
-    DensityProcess,
     EventTree,
     InvalidRuleError,
     NodeRecord,
@@ -46,13 +44,20 @@ from robust_snell.pricing import (
     drift_ambiguity_priors,
     knockin_payoff,
 )
-from reference import NotASupermartingaleError, doob, kw_project
+from reference import (
+    NotASupermartingaleError,
+    constant_family,
+    doob,
+    full_slice_all,
+    kw_project,
+    reference_process,
+)
 
 
 class TestDoob:
     def test_reference_drift_of_robust_value(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
-        A, M = doob(tt4.tree, sol.R, DensityProcess.reference(tt4.tree))
+        A, M = doob(tt4.tree, sol.R, reference_process(tt4.tree))
         assert A["u"] - A["r"] == pytest.approx(0.625, abs=1e-12)
         assert A["d"] - A["r"] == pytest.approx(0.625, abs=1e-12)
         for n in tt4.tree.nodes():
@@ -67,7 +72,7 @@ class TestDoob:
 
     def test_submartingale_rejected(self, tt4):
         with pytest.raises(NotASupermartingaleError):
-            doob(tt4.tree, tt4.payoff, DensityProcess.reference(tt4.tree))
+            doob(tt4.tree, tt4.payoff, reference_process(tt4.tree))
 
     def test_same_bits_as_the_time_sorted_walk(self, tt4, monkeypatch):
         def time_sorted_doob(tree, family, process):
@@ -96,7 +101,7 @@ class TestDoob:
 
     def test_drift_is_sibling_constant_and_nonnegative(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
-        A, _ = doob(tt4.tree, sol.R, DensityProcess.reference(tt4.tree))
+        A, _ = doob(tt4.tree, sol.R, reference_process(tt4.tree))
         for n in tt4.tree.decision_nodes("r"):
             increments = {A[c] - A[n] for c in tt4.tree.children(n)}
             assert len(increments) == 1
@@ -182,7 +187,7 @@ class TestUniversalDecompose:
         tree, payoff, priors = tt4_single
         sol = solve(tree, payoff, priors)
         dec = universal_decompose(sol)
-        A, M = doob(tree, sol.R, DensityProcess.reference(tree))
+        A, M = doob(tree, sol.R, reference_process(tree))
         for n in tree.nodes():
             assert dec.K[n] == pytest.approx(0.0, abs=1e-12)
             assert dec.C[n] == pytest.approx(dec.A_q[n], abs=1e-12)
@@ -231,7 +236,7 @@ class TestPremise:
         tree, _, priors = tt4_single
         report = premise_check(tree, priors)
         assert report.scaling_closed_all
-        assert report.full_slice_all
+        assert full_slice_all(report)
 
     def test_fixture_premises_fail(self, tt1, tt3):
         for cfg in (tt1, tt3):
@@ -748,7 +753,7 @@ class TestFlatOff:
         assert flat_off_check(dec, tree, rule) is True
 
     def test_constant_reward_trivially_flat(self, tt4):
-        payoff = AdaptedFamily.constant(tt4.tree, 1.0)
+        payoff = constant_family(tt4.tree, 1.0)
         sol = solve(tt4.tree, payoff, tt4.priors)
         dec = universal_decompose(sol)
         rule = u_star(sol, "r")

@@ -26,7 +26,9 @@ from reference import (
     leaves_below,
     max_rule,
     min_rule,
+    path,
     step_expectation_q,
+    stop_time,
     validate_rule,
 )
 
@@ -55,7 +57,7 @@ class TestStoredFacts:
         for n in tree.nodes():
             assert isinstance(tree.children(n), tuple)
             assert tree.children(n) is tree.children(n)
-        for leaf in tree.leaves():
+        for leaf in leaves_below(tree, tree.root):
             assert tree.children(leaf) == ()
 
     def test_node_record_has_no_instance_dict(self):
@@ -147,7 +149,7 @@ def cut_weighted_sum(tree, family, rule, v):
     total = 0.0
     for stop in rule.cut(tree):
         prob = 1.0
-        for node in tree.path(v, stop)[1:]:
+        for node in path(tree, v, stop)[1:]:
             prob *= tree.edge_q(node)
         total += prob * family[stop]
     return total
@@ -213,10 +215,10 @@ class TestRuleAlgebra:
             assert lo.cut(tree) == min_rule(tree, r2, r1).cut(tree)
             assert hi.cut(tree) == max_rule(tree, r2, r1).cut(tree)
             for leaf in leaves:
-                t1 = r1.stop_time(tree, leaf)
-                t2 = r2.stop_time(tree, leaf)
-                assert lo.stop_time(tree, leaf) == min(t1, t2)
-                assert hi.stop_time(tree, leaf) == max(t1, t2)
+                t1 = stop_time(r1, tree, leaf)
+                t2 = stop_time(r2, tree, leaf)
+                assert stop_time(lo, tree, leaf) == min(t1, t2)
+                assert stop_time(hi, tree, leaf) == max(t1, t2)
 
     def test_associativity_on_triples(self, tt4):
         tree = tt4.tree

@@ -9,12 +9,15 @@ import robust_snell
 from robust_snell import (
     AdaptedFamily,
     CrrParams,
+    DensityProcess,
     EventTree,
     InvalidFamilyError,
     InvalidPriorSetError,
     NodeRecord,
+    PremiseReport,
     PriorSet,
     SizeGuardError,
+    StoppingRule,
     bayes_conditional,
     brute_force_value,
     build_crr_barrier_tree,
@@ -27,15 +30,18 @@ from robust_snell import (
     selection_count,
     solve,
 )
-from robust_snell import cli, filtration, oracle, snell
+from robust_snell import cli, decomposition, filtration, oracle, pricing, snell
 from robust_snell import priors as priors_module
 from robust_snell.filtration import continuing_rows, step
 from reference import (
     brute_force_strict_value,
+    constant_family,
+    continuation_region,
     enumerate_rules,
     expected_value_q,
     extreme_selections,
     fold_rows,
+    leaves_below,
     strict_scan,
 )
 
@@ -97,7 +103,7 @@ def test_32768_selections_run_under_the_float_cap():
     # whose rows hold 1,046,990 floats in all
     tree = full_binary_tree(4)
     priors = PriorSet.constant(tree, [(0.5, 1.5), (1.5, 0.5)])
-    payoff = AdaptedFamily.constant(tree, 1.0)
+    payoff = constant_family(tree, 1.0)
     assert selection_count(tree, priors) == 2**15
     oracle.guard_entry_count(tree, priors, "r")
     result = brute_force_value(tree, payoff, priors, "r")
@@ -118,7 +124,7 @@ def wide_root():
     extremes = {f"c{i}": [(1.0, 1.0), (1.5, 0.5)] for i in range(k)}
     extremes["r"] = [(1.0,) * k, (1.5,) * (k // 2) + (0.5,) * (k // 2)]
     priors = PriorSet.from_node_extremes(extremes)
-    return tree, AdaptedFamily.constant(tree, 1.0), priors
+    return tree, constant_family(tree, 1.0), priors
 
 
 def test_wide_root_is_refused_at_the_root():
@@ -365,18 +371,38 @@ MOVED_TO_REFERENCE = (
     "guard_rule_count",
     "MAX_SELECTIONS",
     "guard_selection_count",
+    "vanilla_put_payoff",
+)
+
+#: methods that only tests called; tests/reference.py has them as functions
+#: of their object (``stop_time`` folds in ``stop_node``, and
+#: ``leaves_below(tree, tree.root)`` lists the leaves)
+MOVED_METHODS = (
+    (EventTree, "path"),
+    (EventTree, "leaves"),
+    (AdaptedFamily, "scaled"),
+    (AdaptedFamily, "constant"),
+    (StoppingRule, "stop_node"),
+    (StoppingRule, "stop_time"),
+    (StoppingRule, "continuation_region"),
+    (DensityProcess, "reference"),
+    (PremiseReport, "full_slice_all"),
 )
 
 
 def test_package_binds_no_enumeration_checker():
-    # the enumeration checkers and their size guards run only in the tests,
-    # from tests/reference.py
-    for module in (robust_snell, snell, filtration, priors_module, oracle):
+    # the enumeration checkers, their size guards and the accessors only
+    # tests use live in tests/reference.py
+    modules = (robust_snell, snell, filtration, priors_module, oracle, pricing, decomposition)
+    for module in modules:
         bound = [name for name in MOVED_TO_REFERENCE if hasattr(module, name)]
         assert bound == [], module.__name__
-    # the closed-form counts stay: the bench reads them
+    assert [(cls.__name__, name) for cls, name in MOVED_METHODS if hasattr(cls, name)] == []
+    # the closed-form counts and the functions the bench wraps stay
     assert callable(robust_snell.count_rules)
     assert callable(robust_snell.selection_count)
+    assert callable(decomposition.premise_check)
+    assert callable(cli.write_nodes_csv)
 
 
 class TestStrictBruteForce:
@@ -387,7 +413,7 @@ class TestStrictBruteForce:
         assert brute_force_strict_value(tt4.tree, tt4.payoff, tt4.priors, "r") == pytest.approx(2.625)
 
     def test_terminal_node_returns_reward(self, tt4):
-        for leaf in tt4.tree.leaves():
+        for leaf in leaves_below(tt4.tree, tt4.tree.root):
             value = brute_force_strict_value(tt4.tree, tt4.payoff, tt4.priors, leaf)
             assert value == pytest.approx(tt4.payoff[leaf])
 
@@ -437,7 +463,7 @@ def test_crosscheck_folds_each_node_once(monkeypatch):
     tree, payoff, priors = two_extreme_binary_tree(4, seed=7, ambiguous=8)
     solution = solve(tree, payoff, priors)
     entries = sum(
-        math.prod(len(priors.extremes(m)) for m in rule.continuation_region(tree))
+        math.prod(len(priors.extremes(m)) for m in continuation_region(rule, tree))
         for n in tree.decision_nodes(tree.root)
         for rule in enumerate_rules(tree, n, strict=True)
     )
@@ -454,7 +480,7 @@ def test_crosscheck_step_count_is_under_a_tenth_of_the_triple_loop(monkeypatch):
     # so they hold far fewer one-step sums
     tree, payoff, priors = two_extreme_binary_tree(4, seed=7, ambiguous=8)
     triple_loop = sum(
-        selection_count(tree, priors, n) * len(rule.continuation_region(tree))
+        selection_count(tree, priors, n) * len(continuation_region(rule, tree))
         for n in tree.nodes()
         for strict in (False, True)
         for rule in enumerate_rules(tree, n, strict=strict)

@@ -13,9 +13,9 @@ from robust_snell import (
     random_crr_params,
     solve,
     validate_tree,
-    vanilla_put_payoff,
 )
 from robust_snell.filtration import EventTree, NodeRecord
+from reference import leaves_below, path, vanilla_put_payoff
 
 
 BASE = dict(S0=4.0, up=2.0, down=0.5, steps=2, rate=0.0, K=5.0, q_up=0.5)
@@ -44,9 +44,9 @@ class TestBuildTree:
         for seed in range(10):
             params = random_crr_params(seed)
             tree = build_crr_barrier_tree(params)
-            for leaf in tree.leaves():
+            for leaf in leaves_below(tree, tree.root):
                 flags = [
-                    tree.node(n).states["hit"] for n in tree.path(tree.root, leaf)
+                    tree.node(n).states["hit"] for n in path(tree, tree.root, leaf)
                 ]
                 assert flags == sorted(flags)
 

@@ -21,7 +21,9 @@ from reference import (
     convex_combine,
     expected_value_q,
     extreme_selections,
+    leaves_below,
     paste,
+    reference_process,
     validate_density_process,
     validate_prior_set,
 )
@@ -138,7 +140,7 @@ class TestFromRatios:
             return sort(tree, *args, **kwargs)
 
         monkeypatch.setattr(EventTree, "nodes_by_time", counted)
-        DensityProcess.reference(tt4.tree)
+        reference_process(tt4.tree)
         density_process(tt4.tree, tt4.priors, {"r": 1, "d": (0.25, 0.75)})
         assert calls == []
 
@@ -183,7 +185,7 @@ class TestPaste:
         assert pasted.z["dd"] == pytest.approx(0.25)
         terminal_mean = sum(
             tt4.tree.edge_q(leaf) * tt4.tree.edge_q(tt4.tree.parent(leaf)) * pasted.z[leaf]
-            for leaf in tt4.tree.leaves()
+            for leaf in leaves_below(tt4.tree, tt4.tree.root)
         )
         assert terminal_mean == pytest.approx(1.0, abs=1e-12)
         # conditional ratios from the pasting time onward follow the event
@@ -191,7 +193,7 @@ class TestPaste:
         assert pasted.ratio["d"] == z1.ratio["d"]
 
     def test_not_measurable(self, tt4):
-        z1 = DensityProcess.reference(tt4.tree)
+        z1 = reference_process(tt4.tree)
         with pytest.raises(NotMeasurableError):
             paste(tt4.tree, z1, z1, 1, ["uu"])
 
@@ -218,7 +220,7 @@ class TestConvexCombine:
             assert blend.z[n] == pytest.approx(0.3 * z1.z[n] + 0.7 * z2.z[n])
 
     def test_weight_range(self, tt1):
-        z = DensityProcess.reference(tt1.tree)
+        z = reference_process(tt1.tree)
         with pytest.raises(InvalidSelectionError):
             convex_combine(tt1.tree, z, z, 1.5)
 
@@ -226,7 +228,7 @@ class TestConvexCombine:
 class TestBayesConditional:
     def test_reference_reduces_to_plain_expectation(self, tt1):
         rule = stop_at_time_rule(tt1.tree, 1, "r")
-        z = DensityProcess.reference(tt1.tree)
+        z = reference_process(tt1.tree)
         lhs = bayes_conditional(tt1.tree, z, tt1.payoff, rule, "r")
         rhs = expected_value_q(tt1.tree, tt1.payoff, rule, "r")
         assert lhs == pytest.approx(rhs) == pytest.approx(1.0)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from robust_snell import (
     AdaptedFamily,
     CrrParams,
-    DensityProcess,
     EventTree,
     InvalidFamilyError,
     InvalidParamsError,
@@ -42,8 +41,14 @@ from robust_snell.filtration import step
 from robust_snell.snell import DEFAULT_TOL
 from reference import (
     check_supermartingale_family,
+    constant_family,
+    continuation_region,
     enumerate_rules,
     extreme_selections,
+    leaves_below,
+    reference_process,
+    scaled_family,
+    stop_time,
     verify_value_identities,
 )
 
@@ -99,7 +104,7 @@ class TestSolve:
             assert sol.R[n] >= tt4.payoff[n]
             assert sol.R[n] >= sol.R_plus[n]
             assert sol.R[n] == max(tt4.payoff[n], sol.R_plus[n])
-        for leaf in tt4.tree.leaves():
+        for leaf in leaves_below(tt4.tree, tt4.tree.root):
             assert sol.R[leaf] == sol.R_plus[leaf] == tt4.payoff[leaf]
 
     def test_matches_oracle_on_fixtures(self, tt1, tt3, tt4):
@@ -112,7 +117,7 @@ class TestSolve:
     def test_positive_homogeneity(self, seed, c):
         tree, payoff, priors = random_instance(seed)
         base = solve(tree, payoff, priors)
-        scaled = solve(tree, payoff.scaled(c), priors)
+        scaled = solve(tree, scaled_family(payoff, c), priors)
         for n in tree.nodes():
             assert scaled.R[n] == pytest.approx(c * base.R[n], rel=1e-12, abs=1e-12)
         assert scaled.stop_region == base.stop_region
@@ -142,7 +147,7 @@ class TestSolve:
 class TestGamma:
     def test_reference(self, tt1):
         rule = stop_at_time_rule(tt1.tree, 1, "r")
-        z = DensityProcess.reference(tt1.tree)
+        z = reference_process(tt1.tree)
         assert bayes_conditional(tt1.tree, z, tt1.payoff, rule, "r") == pytest.approx(1.0)
 
     def test_extreme(self, tt1):
@@ -164,7 +169,7 @@ class TestAlphaRules:
 
     def test_terminal_floor_stops_at_once(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
-        for leaf in tt4.tree.leaves():
+        for leaf in leaves_below(tt4.tree, tt4.tree.root):
             for alpha in (0.2, 0.9, 1.0):
                 rule = u_alpha(sol, leaf, alpha)
                 assert rule.cut(tt4.tree) == frozenset({leaf})
@@ -180,8 +185,8 @@ class TestAlphaRules:
         grid = [0.2, 0.4, 0.6, 0.8, 0.95, 1.0]
         rules = [u_alpha(sol, "r", a) for a in grid]
         for earlier, later in zip(rules, rules[1:]):
-            for leaf in tt4.tree.leaves():
-                assert earlier.stop_time(tt4.tree, leaf) <= later.stop_time(tt4.tree, leaf)
+            for leaf in leaves_below(tt4.tree, tt4.tree.root):
+                assert stop_time(earlier, tt4.tree, leaf) <= stop_time(later, tt4.tree, leaf)
 
     def test_reward_covers_alpha_fraction_at_stop(self, tt4):
         sol = solve(tt4.tree, tt4.payoff, tt4.priors)
@@ -209,7 +214,7 @@ class TestOptimalTime:
         assert u_star(sol, "r").cut(tt3.tree) == u_alpha(sol, "r", 1.0).cut(tt3.tree)
 
     def test_constant_reward_stops_at_once(self, tt4):
-        payoff = AdaptedFamily.constant(tt4.tree, 2.0)
+        payoff = constant_family(tt4.tree, 2.0)
         sol = solve(tt4.tree, payoff, tt4.priors)
         rule = u_star(sol, "r")
         assert rule.cut(tt4.tree) == frozenset({"r"})
@@ -289,7 +294,7 @@ class TestSupermartingaleCheck:
         assert report.node_ok["d"] is False
 
     def test_constant_family_passes(self, tt4):
-        family = AdaptedFamily.constant(tt4.tree, 5.0)
+        family = constant_family(tt4.tree, 5.0)
         assert check_supermartingale_family(tt4.tree, family, tt4.priors).passed
 
     def test_minimality_probe(self, tt4):
@@ -459,7 +464,7 @@ def reference_optimal_prior(solution, tree, priors, v):
     if not solution.attained:
         raise UnattainedSupremumError("unattained", supremum=solution.R[v])
     rule = first_entry_rule(tree, lambda n: n in solution.stop_region, v)
-    continuation = rule.continuation_region(tree)
+    continuation = continuation_region(rule, tree)
     selection = {}
     for n in tree.decision_nodes(tree.root):
         if n not in continuation:
